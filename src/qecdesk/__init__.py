@@ -10,7 +10,6 @@ from .gf2_symplectic import (
     PauliProduct,
     SearchCapExceeded,
     StabilizerGeneratorSet,
-    SymplecticForm,
 )
 from .hilbert import (
     ATOL_ALGEBRA,

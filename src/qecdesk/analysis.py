@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .codes import ClassicalCode, CodeSubspace, SubsystemIdentification
-from .gf2_symplectic import PauliProduct, SearchCapExceeded, single_qubit_word
+from .gf2_symplectic import PauliProduct, _first_weight, _pauli_words
 from .hilbert import (
     ATOL_ALGEBRA,
     ATOL_EIG,
@@ -247,35 +247,18 @@ def min_distance_quantum(code: CodeSubspace, alphabet: str = "XYZ",
     """
     if any(d != 2 for d in code.physical_dims):
         raise ValueError("distance search expects qubit factors")
-    n = len(code.physical_dims)
-    letters = sorted(set(alphabet))
-    if any(c not in "XYZ" for c in letters) or not letters:
-        raise ValueError(f"alphabet must be a nonempty subset of XYZ, got {alphabet!r}")
-    for wgt in range(1, cap + 1):
-        for support in itertools.combinations(range(n), wgt):
-            for choice in itertools.product(letters, repeat=wgt):
-                word = None
-                for j, c in zip(support, choice):
-                    q = single_qubit_word(n, j, c)
-                    word = q if word is None else word.multiply(q)
-                if not detectable_quantum(code, word.dense()).detectable:
-                    return wgt
-    raise SearchCapExceeded(cap)
+    return _first_weight(
+        len(code.physical_dims), alphabet, cap,
+        lambda word: not detectable_quantum(code, word.dense()).detectable,
+    )
 
 
 def weight_le_errors(n: int, max_weight: int = 1) -> list[tuple[str, np.ndarray]]:
     """Identity plus every Pauli word of weight up to max_weight, labeled."""
     out = [("I", np.eye(2 ** n, dtype=complex))]
-    for wgt in range(1, max_weight + 1):
-        for support in itertools.combinations(range(n), wgt):
-            for choice in itertools.product("XYZ", repeat=wgt):
-                word = None
-                label = ""
-                for j, c in zip(support, choice):
-                    q = single_qubit_word(n, j, c)
-                    word = q if word is None else word.multiply(q)
-                    label += f"{c}{j + 1}"
-                out.append((label, word.dense()))
+    for support, letters, word in _pauli_words(n, max_weight):
+        label = "".join(f"{c}{j + 1}" for j, c in zip(support, letters))
+        out.append((label, word.dense()))
     return out
 
 

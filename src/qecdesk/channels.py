@@ -7,6 +7,7 @@ is what makes coarse per-label error bounds and branch sampling meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -90,6 +91,17 @@ class KrausChannel:
         return DensityOperator(self.dims, self.apply_matrix(rho.matrix))
 
 
+def _philox_blocks(seed: int, trials: int, block: int):
+    """Yield (generator, count) for consecutive blocks of at most `block` trials.
+
+    Block i draws from the seed's Philox stream at counter i * 2**64, so a
+    seeded run is reproducible and does not depend on block scheduling.
+    """
+    for index, start in enumerate(range(0, trials, block)):
+        bitgen = np.random.Philox(key=seed, counter=index * 2 ** 64)
+        yield np.random.Generator(bitgen), min(block, trials - start)
+
+
 def identity_channel(dims: tuple[int, ...]) -> KrausChannel:
     d = math.prod(dims)
     return KrausChannel(tuple(dims), (("0", np.eye(d, dtype=complex)),))
@@ -141,11 +153,9 @@ def gaussian_shift(dim: int = 7, K: int = 20) -> KrausChannel:
         raise ValueError("dim must be at least 2")
     if K < 2:
         raise ValueError("K must be at least 2")
-    ks = list(range(-K, K + 1))
-    weights = [math.exp(-float(k * k)) for k in ks]
-    z = math.fsum(weights)
     ops = tuple(
-        (str(k), math.sqrt(w / z) * cyclic_shift(dim, k)) for k, w in zip(ks, weights)
+        (str(k), math.sqrt(p) * cyclic_shift(dim, k))
+        for k, p in gaussian_shift_probabilities(K).items()
     )
     return KrausChannel((dim,), ops)
 
@@ -158,8 +168,9 @@ def gaussian_shift_probabilities(K: int = 20) -> dict[int, float]:
     return {k: w / z for k, w in zip(ks, weights)}
 
 
+@functools.cache
 def collective_spin(u: str, n: int = 3) -> LinearOperator:
-    """J_u = (1/2) sum of sigma_u over all n spins."""
+    """J_u = (1/2) sum of sigma_u over all n spins; built once per (u, n)."""
     terms = []
     for i in range(n):
         factors = [pauli(u) if j == i else pauli("I") for j in range(n)]
@@ -320,9 +331,6 @@ def twirl(ch: KrausChannel) -> PauliChannel:
     return PauliChannel(1, probs)
 
 
-_ROTATION_GROUP: list[np.ndarray] | None = None
-
-
 def _canonical_phase(m: np.ndarray) -> np.ndarray:
     flat = m.reshape(-1)
     idx = int(np.argmax(np.abs(flat) > 1e-6))
@@ -330,11 +338,9 @@ def _canonical_phase(m: np.ndarray) -> np.ndarray:
     return m * (z.conjugate() / abs(z))
 
 
+@functools.cache
 def rotation_group() -> list[np.ndarray]:
     """The 24 single-qubit rotations generated by 90-degree x/y/z turns."""
-    global _ROTATION_GROUP
-    if _ROTATION_GROUP is not None:
-        return _ROTATION_GROUP
     # quarter turns exp(-i sigma_u pi/4) around each axis generate all 24
     gens = [
         exp_hermitian(pauli(u), math.pi / 4.0).matrix for u in "XYZ"
@@ -357,7 +363,6 @@ def rotation_group() -> list[np.ndarray]:
     group = list(seen.values())
     if len(group) != 24:
         raise RuntimeError(f"rotation group closure found {len(group)} elements")
-    _ROTATION_GROUP = group
     return group
 
 
@@ -395,6 +400,11 @@ def clifford_twirl(pch: PauliChannel) -> KrausChannel:
     ).as_kraus()
 
 
+# required keys of each channel kind, in grammar order
+_SPEC_KEYS = {"depolarizing": ("p",), "bitflip": ("p",),
+              "collective": ("vx", "vy", "vz")}
+
+
 def parse_channel_spec(text: str) -> KrausChannel:
     """Build a channel from a one-line spec.
 
@@ -419,16 +429,22 @@ def parse_channel_spec(text: str) -> KrausChannel:
             out[k] = v
         return out
 
+    def need(kw, key):
+        if key not in kw:
+            grammar = " ".join(f"{k}=<value>" for k in _SPEC_KEYS[head])
+            raise ValueError(f"{head} needs {key}=<value> (grammar: {head} {grammar})")
+        return float(kw[key])
+
     if head == "depolarizing":
-        return depolarizing(float(kwargs(rest)["p"]))
+        return depolarizing(need(kwargs(rest), "p"))
     if head == "bitflip":
-        return bit_flip(float(kwargs(rest)["p"]))
+        return bit_flip(need(kwargs(rest), "p"))
     if head == "gaussian7":
         kw = kwargs(rest)
         return gaussian_shift(7, int(kw.get("K", 20)))
     if head == "collective":
         kw = kwargs(rest)
-        return collective_rotation((float(kw["vx"]), float(kw["vy"]), float(kw["vz"])))
+        return collective_rotation(tuple(need(kw, k) for k in _SPEC_KEYS[head]))
     if head == "independent":
         if not rest or not rest[0].startswith("n="):
             raise ValueError("independent needs n=<count> then an inner spec")

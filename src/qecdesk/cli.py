@@ -2,8 +2,10 @@
 
 Exit codes: 0 on success, 1 when an analysis verdict is negative, 2 when a
 simulation is dominated by detection failure, 64 on usage or parse errors.
-All output is JSON by default (floats rounded to ten decimals so identical
-invocations are byte-identical); --table switches to a plain rendering.
+Every subcommand takes --table and --out FILE.  Output is JSON (floats
+rounded to ten decimals so identical invocations are byte-identical, never
+NaN or Infinity); --table switches to a plain rendering and --out writes to
+a file instead of stdout.
 """
 
 from __future__ import annotations
@@ -17,12 +19,7 @@ import sys
 import numpy as np
 
 from . import analysis, channels, codes, pipelines
-from .gf2_symplectic import (
-    PauliProduct,
-    SearchCapExceeded,
-    StabilizerGeneratorSet,
-    single_qubit_word,
-)
+from .gf2_symplectic import PauliProduct, SearchCapExceeded, single_qubit_word
 from .hilbert import StateVector, basis_state
 
 USAGE_EXIT = 64
@@ -45,7 +42,7 @@ def _round(obj, ndigits=10):
 
 
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(_round(payload), indent=2) + "\n"
+    text = json.dumps(_round(payload), indent=2, allow_nan=False) + "\n"
     if getattr(args, "table", False):
         lines = []
         for k, v in payload.items():
@@ -93,14 +90,27 @@ def _parse_errors(spec: str, n: int):
     return out
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_input(token: str, dim: int) -> StateVector:
     if token == "+" and dim == 2:
-        return StateVector((2,), np.array([1.0, 1.0]) / math.sqrt(2.0))
+        return pipelines.PLUS
     if token == "-" and dim == 2:
         return StateVector((2,), np.array([1.0, -1.0]) / math.sqrt(2.0))
     if token.isdigit() and int(token) < dim:
         return basis_state((dim,), int(token))
     amps = np.asarray(json.loads(token), dtype=float)
+    if not np.isfinite(amps).all():
+        raise ValueError(f"--input has a non-finite amplitude: {token}")
     if amps.ndim == 2 and amps.shape[1] == 2:
         vec = amps[:, 0] + 1j * amps[:, 1]
     else:
@@ -143,11 +153,7 @@ def cmd_check(args) -> int:
 def cmd_mindist(args) -> int:
     if os.path.exists(args.stabilizer):
         with open(args.stabilizer) as fh:
-            lines = [l.strip() for l in fh.read().splitlines()
-                     if l.strip() and not l.strip().startswith("#")]
-        if lines and lines[0].lower() == "stabilizer:":
-            lines = lines[1:]
-        stab = StabilizerGeneratorSet.from_strings(lines)
+            stab = codes.parse_stabilizer_text(fh.read())
         name = os.path.basename(args.stabilizer)
     else:
         definition = codes.builtin_code(args.stabilizer)
@@ -255,17 +261,13 @@ def cmd_concat(args) -> int:
     return 0 if result.improving else 1
 
 
-def _plus() -> StateVector:
-    return StateVector((2,), np.array([1.0, 1.0]) / math.sqrt(2.0))
-
-
 def cmd_demo(args) -> int:
     name = args.name
     if name == "trivial2":
         ident = codes.trivial_two_qubit()
         noisy = channels.tensor_channels(channels.depolarizing(1.0),
                                          channels.identity_channel((2,)))
-        report = pipelines.run_exact(ident, noisy, _plus(),
+        report = pipelines.run_exact(ident, noisy, pipelines.PLUS,
                                      scenario="trivial2",
                                      input_desc="(|0>+|1>)/sqrt2")
         _emit(report.to_json(ndigits=10), args)
@@ -304,7 +306,7 @@ def cmd_demo(args) -> int:
         verdict = analysis.correctable_quantum(space, errors)
         _, recovery = analysis.synthesize_decoder(space, errors)
         noisy = channels.tensor_independent(channels.depolarizing(0.1), 5)
-        report = pipelines.run_corrected(space, recovery, noisy, _plus(),
+        report = pipelines.run_corrected(space, recovery, noisy, pipelines.PLUS,
                                          scenario="five-qubit",
                                          input_desc="(|0>+|1>)/sqrt2")
         payload = report.to_json(ndigits=10)
@@ -337,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--json", action="store_true", default=True,
-                       help="JSON output (default)")
         p.add_argument("--table", action="store_true", help="plain-text output")
         p.add_argument("--out", help="write output to a file")
 
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="0")
     p.add_argument("--trials", type=int, default=0, help="0 = exact")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fail-threshold", type=float, default=0.5)
+    p.add_argument("--fail-threshold", type=_finite_float, default=0.5)
     common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="canned worked examples")
     p.add_argument("name", choices=DEMO_NAMES)
-    p.add_argument("--fail-threshold", type=float, default=0.5)
+    p.add_argument("--fail-threshold", type=_finite_float, default=0.5)
     common(p)
     p.set_defaults(func=cmd_demo)
 

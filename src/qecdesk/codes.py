@@ -18,6 +18,7 @@ import numpy as np
 from .gf2_symplectic import StabilizerGeneratorSet
 from .hilbert import (
     ATOL_ALGEBRA,
+    MAX_TOTAL_DIM,
     DensityOperator,
     LinearOperator,
     StateVector,
@@ -137,10 +138,6 @@ class SubsystemIdentification:
             basis.append(StateVector(self.physical_dims, col))
         return CodeSubspace(self.physical_dims, tuple(basis))
 
-    def range_projector(self) -> LinearOperator:
-        w = self.isometry.matrix
-        return LinearOperator(self.physical_dims, self.physical_dims, w @ w.conj().T)
-
 
 def syndrome_reset(ident: SubsystemIdentification, rho: DensityOperator,
                    atol: float = ATOL_ALGEBRA) -> DensityOperator:
@@ -151,14 +148,11 @@ def syndrome_reset(ident: SubsystemIdentification, rho: DensityOperator,
     """
     if rho.dims != tuple(ident.physical_dims):
         raise ValueError("state dims do not match the identification")
-    sigma, leak = ident.subsystem_matrix(rho.matrix)
+    rho_l, leak = ident.logical_matrix(rho.matrix)
     if leak > atol:
         raise LeakageDetected(leak)
-    t = sigma.reshape(ident.syndrome_dim, ident.logical_dim,
-                      ident.syndrome_dim, ident.logical_dim)
-    rho_l = np.einsum("sasb->ab", t)
-    fresh = np.zeros_like(sigma)
     b, dl = ident.syndrome_base, ident.logical_dim
+    fresh = np.zeros((ident.syndrome_dim * dl,) * 2, dtype=complex)
     fresh[b * dl:(b + 1) * dl, b * dl:(b + 1) * dl] = rho_l
     w = ident.isometry.matrix
     return DensityOperator(ident.physical_dims, w @ fresh @ w.conj().T)
@@ -326,6 +320,8 @@ def stabilizer_codespace(stab: StabilizerGeneratorSet) -> CodeSubspace:
     """
     n = stab.n
     d = 2 ** n
+    if d > MAX_TOTAL_DIM:
+        raise ValueError(f"{n}-qubit codespace: dimension {d} exceeds cap {MAX_TOTAL_DIM}")
     p = np.eye(d, dtype=complex)
     for g in stab.generators:
         p = p @ (np.eye(d, dtype=complex) + g.dense()) / 2.0
@@ -374,25 +370,49 @@ def _infer_dims(length: int) -> tuple[int, ...]:
     return (length,)
 
 
-def parse_code_text(text: str, name: str = "inline") -> CodeDefinition:
-    """Parse a code definition: 'stabilizer:' plus Pauli words, or 'basis:'
-    plus one JSON amplitude array (pairs [re, im]) per line."""
-    lines = [l.strip() for l in text.splitlines() if l.strip() and not l.strip().startswith("#")]
+def _code_sections(text: str) -> tuple[str, list[str]]:
+    """Split a code file into its kind ("stabilizer" or "basis") and body lines.
+
+    '#' starts a comment.  A leading 'stabilizer:' or 'basis:' line names the
+    kind; without one the lines are stabilizer generators.
+    """
+    lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
+    lines = [l for l in lines if l]
     if not lines:
         raise ValueError("empty code definition")
     head = lines[0].lower()
-    if head == "stabilizer:":
-        stab = StabilizerGeneratorSet.from_strings(lines[1:])
+    if head in ("stabilizer:", "basis:"):
+        return head[:-1], lines[1:]
+    if head.endswith(":"):
+        raise ValueError(f"unknown section {lines[0]!r}; expected 'stabilizer:' or 'basis:'")
+    return "stabilizer", lines
+
+
+def parse_stabilizer_text(text: str) -> StabilizerGeneratorSet:
+    """The generators of a stabilizer code file, without building its codespace."""
+    kind, body = _code_sections(text)
+    if kind != "stabilizer":
+        raise ValueError("code definition gives a basis, not stabilizer generators")
+    return StabilizerGeneratorSet.from_strings(body)
+
+
+def parse_code_text(text: str, name: str = "inline") -> CodeDefinition:
+    """Parse a code definition: Pauli words one per line, optionally under a
+    'stabilizer:' header, or 'basis:' plus one JSON amplitude array (pairs
+    [re, im]) per line."""
+    kind, body = _code_sections(text)
+    if kind == "stabilizer":
+        stab = StabilizerGeneratorSet.from_strings(body)
         return CodeDefinition(name, stabilizer_codespace(stab), stabilizers=stab)
-    if head == "basis:":
-        vecs = []
-        for line in lines[1:]:
-            amps = np.asarray(json.loads(line), dtype=float)
-            vecs.append(amps[:, 0] + 1j * amps[:, 1])
-        dims = _infer_dims(len(vecs[0]))
-        basis = tuple(StateVector(dims, v) for v in vecs)
-        return CodeDefinition(name, CodeSubspace(dims, basis))
-    raise ValueError(f"code definition must start with 'stabilizer:' or 'basis:', got {lines[0]!r}")
+    if not body:
+        raise ValueError("'basis:' block has no vectors")
+    vecs = []
+    for line in body:
+        amps = np.asarray(json.loads(line), dtype=float)
+        vecs.append(amps[:, 0] + 1j * amps[:, 1])
+    dims = _infer_dims(len(vecs[0]))
+    basis = tuple(StateVector(dims, v) for v in vecs)
+    return CodeDefinition(name, CodeSubspace(dims, basis))
 
 
 def builtin_code(name: str) -> CodeDefinition:

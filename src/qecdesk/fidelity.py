@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import KrausChannel, _philox_blocks
 from .hilbert import (
     ATOL_ALGEBRA,
     DensityOperator,
@@ -57,36 +57,14 @@ def fidelity_mixed(rho: DensityOperator, reference: StateVector) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def _maximally_entangled(d: int, ref_unitary: np.ndarray | None = None) -> np.ndarray:
-    amps = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        amps[i * d + i] = 1.0 / math.sqrt(d)
-    if ref_unitary is not None:
-        amps = np.kron(ref_unitary, np.eye(d)) @ amps
-    return amps
-
-
 def entanglement_fidelity(ch: KrausChannel) -> float:
     """Overlap of a maximally entangled pair with itself after one-sided noise.
 
-    Built explicitly: a reference copy is attached, the channel acts on the
-    system half only, and the overlap is evaluated.  The result is checked
-    against a second choice of maximally entangled state (Fourier-rotated
-    reference), from which it must not deviate.
+    Evaluated in closed form: each operator A contributes |tr A|^2 / d^2,
+    whichever maximally entangled state is chosen.
     """
     d = ch.dim
-    fourier = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / math.sqrt(d)
-    results = []
-    for ref_u in (None, fourier):
-        bell = _maximally_entangled(d, ref_u)
-        f = 0.0
-        for _, a in ch.ops:
-            big = np.kron(np.eye(d), a)
-            f += abs(np.vdot(bell, big @ bell)) ** 2
-        results.append(f)
-    if abs(results[0] - results[1]) > ATOL_ALGEBRA:
-        raise RuntimeError("entanglement fidelity depended on the entangled state choice")
-    return float(results[0])
+    return float(sum(abs(np.trace(a)) ** 2 for _, a in ch.ops) / d ** 2)
 
 
 def average_error_from_entanglement(eps_e: float, k: int) -> float:
@@ -110,15 +88,6 @@ class MonteCarloEstimate:
 _MC_BLOCK = 1024
 
 
-def _haar_block(d: int, count: int, seed: int, block_index: int) -> np.ndarray:
-    """Deterministic batch of Haar-random state rows from a counter-derived stream."""
-    bitgen = np.random.Philox(key=seed, counter=block_index * 2 ** 64)
-    g = np.random.Generator(bitgen)
-    z = g.standard_normal((count, d, 2))
-    psi = z[..., 0] + 1j * z[..., 1]
-    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
-
-
 def average_error_monte_carlo(ch: KrausChannel, trials: int, seed: int = 0) -> MonteCarloEstimate:
     """Estimate the Haar-average input-output error of a channel.
 
@@ -133,11 +102,10 @@ def average_error_monte_carlo(ch: KrausChannel, trials: int, seed: int = 0) -> M
     mats = [a for _, a in ch.ops]
     total = 0.0
     total_sq = 0.0
-    done = 0
-    block_index = 0
-    while done < trials:
-        count = min(_MC_BLOCK, trials - done)
-        psi = _haar_block(d, count, seed, block_index)
+    for g, count in _philox_blocks(seed, trials, _MC_BLOCK):
+        z = g.standard_normal((count, d, 2))
+        psi = z[..., 0] + 1j * z[..., 1]
+        psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
         fid = np.zeros(count)
         for a in mats:
             amp = np.einsum("nd,de,ne->n", psi.conj(), a, psi)
@@ -145,8 +113,6 @@ def average_error_monte_carlo(ch: KrausChannel, trials: int, seed: int = 0) -> M
         err = 1.0 - fid
         total += float(err.sum())
         total_sq += float((err ** 2).sum())
-        done += count
-        block_index += 1
     mean = total / trials
     var = max(total_sq / trials - mean ** 2, 0.0)
     if trials > 1:

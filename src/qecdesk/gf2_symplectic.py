@@ -148,24 +148,6 @@ def single_qubit_word(n: int, j: int, letter: str) -> PauliProduct:
     return PauliProduct(n, (code >> 1) << j, (code & 1) << j, 0)
 
 
-class SymplecticForm:
-    """The block-diagonal bilinear form deciding commutation on GF(2)^(2n)."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    @property
-    def matrix(self) -> np.ndarray:
-        b = np.zeros((2 * self.n, 2 * self.n), dtype=np.uint8)
-        for j in range(self.n):
-            b[2 * j, 2 * j + 1] = 1
-            b[2 * j + 1, 2 * j] = 1
-        return b
-
-    def product(self, x: np.ndarray, y: np.ndarray) -> int:
-        return int(x @ self.matrix @ y) % 2
-
-
 # --- bit-packed GF(2) elimination ------------------------------------------
 
 
@@ -287,15 +269,34 @@ class StabilizerGeneratorSet:
         drawn from `alphabet`.  Raises SearchCapExceeded past the cap rather
         than guessing.
         """
-        letters = sorted(set(alphabet))
-        if any(c not in "XYZ" for c in letters) or not letters:
-            raise ValueError(f"alphabet must be a nonempty subset of XYZ, got {alphabet!r}")
-        for w in range(1, cap + 1):
-            for support in itertools.combinations(range(self.n), w):
-                for choice in itertools.product(letters, repeat=w):
-                    p = identity_word(self.n)
-                    for j, c in zip(support, choice):
-                        p = p.multiply(single_qubit_word(self.n, j, c))
-                    if self.in_centralizer(p) and not self.contains(p):
-                        return w
-        raise SearchCapExceeded(cap)
+        return _first_weight(
+            self.n, alphabet, cap,
+            lambda p: self.in_centralizer(p) and not self.contains(p),
+        )
+
+
+def _pauli_words(n: int, max_weight: int, alphabet: str = "XYZ"):
+    """Yield (support, letters, word) for every word of weight 1..max_weight.
+
+    Order: weight ascending, then supports in combinations order, then
+    letters in product order over the sorted alphabet.
+    """
+    letters = sorted(set(alphabet))
+    if any(c not in "XYZ" for c in letters) or not letters:
+        raise ValueError(f"alphabet must be a nonempty subset of XYZ, got {alphabet!r}")
+    for w in range(1, max_weight + 1):
+        for support in itertools.combinations(range(n), w):
+            for choice in itertools.product(letters, repeat=w):
+                a = b = 0
+                for j, c in zip(support, choice):
+                    a |= (_CODE[c] >> 1) << j
+                    b |= (_CODE[c] & 1) << j
+                yield support, choice, PauliProduct(n, a, b, 0)
+
+
+def _first_weight(n: int, alphabet: str, cap: int, predicate) -> int:
+    """Smallest weight of a word with predicate(word) true; SearchCapExceeded past cap."""
+    for support, _, word in _pauli_words(n, cap, alphabet):
+        if predicate(word):
+            return len(support)
+    raise SearchCapExceeded(cap)

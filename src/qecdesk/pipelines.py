@@ -14,7 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channels import KrausChannel, gaussian_shift, gaussian_shift_probabilities
+from .channels import (
+    KrausChannel,
+    _philox_blocks,
+    gaussian_shift,
+    gaussian_shift_probabilities,
+)
 from .codes import CodeSubspace, SubsystemIdentification, cyclic7
 from .hilbert import ATOL_ALGEBRA, StateVector
 
@@ -26,6 +31,8 @@ REPORTED_THRESHOLDS = {
     "erasure": 1e-2,
     "known_basis_measurement": 1.0,
 }
+
+PLUS = StateVector((2,), np.array([1.0, 1.0]) / math.sqrt(2.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +83,36 @@ def _check_logical_input(ident_dim: int, state: StateVector) -> StateVector:
     return state
 
 
+def _outcome_table(psi_in: StateVector, blocks, fail: float, fail_row: bool,
+                   scenario: str, input_desc: str) -> PipelineReport:
+    """Report from (label, probability, logical block) triples plus fail mass.
+
+    Each block gives an "ok" row (overlap with the input, clamped to [0, p])
+    and an "err" row (the rest); fail_row adds a single "fail" row.
+    logical_rho is the sum of the blocks, normalized when it has weight.
+    """
+    psi = psi_in.amplitudes
+    rows = []
+    logical = np.zeros((psi.size, psi.size), dtype=complex)
+    success = 0.0
+    error = 0.0
+    for label, p, block in blocks:
+        p_ok = float(np.real(np.vdot(psi, block @ psi)))
+        p_ok = min(max(p_ok, 0.0), p)
+        rows.append((label, "ok", p_ok))
+        rows.append((label, "err", p - p_ok))
+        logical += block
+        success += p_ok
+        error += p - p_ok
+    if fail_row:
+        rows.append(("fail", "", fail))
+    accepted = float(np.trace(logical).real)
+    if accepted > ATOL_ALGEBRA:
+        logical = logical / accepted
+    metrics = {"success": success, "error": error, "fail": fail}
+    return PipelineReport(scenario, input_desc, tuple(rows), logical, metrics)
+
+
 def run_exact(
     ident: SubsystemIdentification,
     channel: KrausChannel,
@@ -98,27 +135,12 @@ def run_exact(
     rho = channel.apply_matrix(rho)
     sigma, fail = ident.subsystem_matrix(rho)
     dl = ident.logical_dim
-    rows = []
-    logical = np.zeros((dl, dl), dtype=complex)
-    success = 0.0
-    error = 0.0
+    blocks = []
     for s in range(ident.syndrome_dim):
         block = sigma[s * dl:(s + 1) * dl, s * dl:(s + 1) * dl]
-        p_s = float(np.trace(block).real)
-        p_ok = float(np.real(np.vdot(psi_in.amplitudes, block @ psi_in.amplitudes)))
-        p_ok = min(max(p_ok, 0.0), p_s)
-        rows.append((ident.syndrome_label(s), "ok", p_ok))
-        rows.append((ident.syndrome_label(s), "err", p_s - p_ok))
-        logical += block
-        success += p_ok
-        error += p_s - p_ok
-    if not ident.is_complete():
-        rows.append(("fail", "", fail))
-    accepted = float(np.trace(logical).real)
-    if accepted > ATOL_ALGEBRA:
-        logical = logical / accepted
-    metrics = {"success": success, "error": error, "fail": fail}
-    return PipelineReport(scenario, input_desc, tuple(rows), logical, metrics)
+        blocks.append((ident.syndrome_label(s), float(np.trace(block).real), block))
+    return _outcome_table(psi_in, blocks, fail, not ident.is_complete(),
+                          scenario, input_desc)
 
 
 def run_corrected(
@@ -141,32 +163,17 @@ def run_corrected(
     if channel.dims != tuple(code.physical_dims):
         raise ValueError("channel dims do not match the code")
     rho = channel.apply_matrix(rho)
-    rows = []
-    logical = np.zeros((code.dim, code.dim), dtype=complex)
-    success = 0.0
-    error = 0.0
+    blocks = []
     fail = 0.0
     for label, r in recovery.ops:
         branch = r @ rho @ r.conj().T
         p_r = float(np.trace(branch).real)
         if label in recovery.bad_labels:
             fail += p_r
-            continue
-        block = cmat.conj().T @ branch @ cmat
-        p_ok = float(np.real(np.vdot(psi_in.amplitudes, block @ psi_in.amplitudes)))
-        p_ok = min(max(p_ok, 0.0), p_r)
-        rows.append((label, "ok", p_ok))
-        rows.append((label, "err", p_r - p_ok))
-        logical += block
-        success += p_ok
-        error += p_r - p_ok
-    if recovery.bad_labels:
-        rows.append(("fail", "", fail))
-    accepted = float(np.trace(logical).real)
-    if accepted > ATOL_ALGEBRA:
-        logical = logical / accepted
-    metrics = {"success": success, "error": error, "fail": fail}
-    return PipelineReport(scenario, input_desc, tuple(rows), logical, metrics)
+        else:
+            blocks.append((label, p_r, cmat.conj().T @ branch @ cmat))
+    return _outcome_table(psi_in, blocks, fail, bool(recovery.bad_labels),
+                          scenario, input_desc)
 
 
 def run_cyclic(
@@ -176,7 +183,7 @@ def run_cyclic(
 ) -> PipelineReport:
     """The seven-level cyclic scenario: Gaussian shifts, detect, decode."""
     if input_state is None:
-        input_state = StateVector((2,), np.array([1.0, 1.0]) / math.sqrt(2.0))
+        input_state = PLUS
         desc = "(|0>+|1>)/sqrt2"
     else:
         desc = "custom"
@@ -259,19 +266,13 @@ def run_monte_carlo(
     cum_q[-1] = max(cum_q[-1], 1.0)
     cum_d = np.cumsum(dists, axis=1)
     counts = np.zeros(len(rows), dtype=np.int64)
-    done = 0
-    block_index = 0
-    while done < trials:
-        count = min(_MC_BLOCK, trials - done)
-        g = np.random.Generator(np.random.Philox(key=seed, counter=block_index * 2 ** 64))
+    for g, count in _philox_blocks(seed, trials, _MC_BLOCK):
         u = g.random((count, 2))
         branch = np.searchsorted(cum_q, u[:, 0], side="right")
         branch = np.minimum(branch, len(qs) - 1)
         row = (cum_d[branch] < u[:, 1][:, None]).sum(axis=1)
         row = np.minimum(row, len(rows) - 1)
         counts += np.bincount(row, minlength=len(rows))
-        done += count
-        block_index += 1
     freq = counts / float(trials)
     out_rows = []
     success = error = fail = 0.0

@@ -1,5 +1,6 @@
 """Detectability, correctability, decoder synthesis, commutants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -31,9 +32,16 @@ from qecdesk.codes import (
     builtin_code,
     five_qubit,
     repetition_classical,
+    stabilizer_codespace,
     three_spin_noiseless,
 )
-from qecdesk.gf2_symplectic import SearchCapExceeded, single_qubit_word
+from qecdesk.gf2_symplectic import (
+    SearchCapExceeded,
+    StabilizerGeneratorSet,
+    single_qubit_word,
+)
+
+STEANE = ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"]
 
 SIGMA = {
     "I": np.eye(2, dtype=complex),
@@ -314,6 +322,34 @@ def test_weight_le_errors_enumeration():
     assert np.array_equal(dict(errs)["Y2"],
                           single_qubit_word(3, 1, "Y").dense())
     assert len(weight_le_errors(3, 2)) == 1 + 9 + 27
+
+
+def test_weight_le_errors_order_matches_nested_loop():
+    # oracle: the weight / support / letter loop with a multiply chain
+    n = 3
+    want = [("I", np.eye(2 ** n, dtype=complex))]
+    for wgt in range(1, 3):
+        for support in itertools.combinations(range(n), wgt):
+            for choice in itertools.product("XYZ", repeat=wgt):
+                word = None
+                label = ""
+                for j, c in zip(support, choice):
+                    q = single_qubit_word(n, j, c)
+                    word = q if word is None else word.multiply(q)
+                    label += f"{c}{j + 1}"
+                want.append((label, word.dense()))
+    got = weight_le_errors(n, 2)
+    assert [l for l, _ in got] == [l for l, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_dense_and_symplectic_distances_agree_on_steane():
+    stab = StabilizerGeneratorSet.from_strings(STEANE)
+    space = stabilizer_codespace(stab)
+    for alphabet, d in (("X", 3), ("Z", 3), ("XYZ", 3)):
+        assert min_distance_quantum(space, alphabet=alphabet) == d
+        assert stab.min_distance(alphabet=alphabet) == d
 
 
 # --- commutants and permutations ------------------------------------------------

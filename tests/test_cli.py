@@ -104,6 +104,33 @@ def test_mindist_from_file(capsys, tmp_path):
     assert data["distance"] == 1
 
 
+def test_mindist_header_less_file_builds_no_codespace(capsys, tmp_path, monkeypatch):
+    import qecdesk.codes
+
+    def refuse(stab):
+        raise AssertionError("mindist built a codespace")
+
+    monkeypatch.setattr(qecdesk.codes, "stabilizer_codespace", refuse)
+    path = tmp_path / "rep12.txt"
+    path.write_text("".join("I" * i + "ZZ" + "I" * (10 - i) + "\n" for i in range(11)))
+    code, data = run_json(capsys, ["mindist", "--stabilizer", str(path)])
+    assert code == 0
+    assert data == {"code": "rep12.txt", "alphabet": "XYZ", "distance": 1}
+    code, data = run_json(capsys, ["mindist", "--stabilizer", str(path),
+                                   "--alphabet", "X"])
+    assert code == 0
+    assert data["distance"] is None and data["exceeds_cap"] == 5
+
+
+def test_check_accepts_header_less_code_file(capsys, tmp_path):
+    path = tmp_path / "five.txt"
+    path.write_text("# five-qubit code\nXZZXI\nIXZZX\nXIXZZ\nZXIXZ\n")
+    code, data = run_json(capsys, ["check", "--code", str(path), "--errors", "weight1"])
+    assert code == 0
+    assert data["code"] == "five.txt"
+    assert data["correctable"] is True and data["rank"] == 16
+
+
 def test_simulate_exact_repetition(capsys):
     code, data = run_json(capsys, [
         "simulate", "--code", "repetition3",
@@ -212,6 +239,9 @@ def test_usage_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == USAGE_EXIT
+    with pytest.raises(SystemExit) as exc:
+        main(["concat", "--p", "1e-3", "--C", "100", "--json"])  # flag removed
+    assert exc.value.code == USAGE_EXIT
 
 
 def test_domain_errors_exit_64(capsys):
@@ -221,6 +251,33 @@ def test_domain_errors_exit_64(capsys):
     assert main(["twirl", "--channel", "depolarizing p=2.0"]) == USAGE_EXIT
     assert main(["concat", "--p", "0.5", "--C", "10", "--levels", "0"]) == USAGE_EXIT
     capsys.readouterr()
+
+
+def test_non_finite_numbers_are_refused(capsys):
+    assert main(["simulate", "--code", "repetition3",
+                 "--channel", "independent n=3 bitflip p=0.25",
+                 "--input", "[NaN, 1]"]) == USAGE_EXIT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--input" in captured.err
+    for bad in ("nan", "inf", "-Infinity"):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--code", "repetition3",
+                  "--channel", "independent n=3 bitflip p=0.25",
+                  "--fail-threshold", bad])
+        assert exc.value.code == USAGE_EXIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--fail-threshold" in captured.err
+
+
+def test_missing_channel_key_names_key_and_grammar(capsys):
+    assert main(["twirl", "--channel", "depolarizing"]) == USAGE_EXIT
+    assert "depolarizing needs p=<value>" in capsys.readouterr().err
+    assert main(["twirl", "--channel", "collective vx=0.1 vz=0.3"]) == USAGE_EXIT
+    err = capsys.readouterr().err
+    assert "collective needs vy=<value>" in err
+    assert "collective vx=<value> vy=<value> vz=<value>" in err
 
 
 def test_check_rejects_bad_code_file(capsys, tmp_path):

@@ -18,6 +18,7 @@ from qecdesk.codes import (
     five_qubit,
     parity_identification,
     parse_code_text,
+    parse_stabilizer_text,
     repetition_classical,
     repetition_failure_probability,
     repetition_quantum,
@@ -243,6 +244,28 @@ def test_parse_code_text_stabilizer():
     code = parse_code_text(text, "five")
     assert code.subspace.dim == 2
     assert code.stabilizers.rank() == 4
+
+
+def test_parse_code_text_header_is_optional():
+    text = "# five-qubit code\n" + "\n".join(g + "  # generator" for g in FIVE_QUBIT_GENERATORS)
+    code = parse_code_text(text)
+    assert code.subspace.dim == 2
+    assert code.stabilizers.generators == parse_code_text(
+        "stabilizer:\n" + "\n".join(FIVE_QUBIT_GENERATORS)).stabilizers.generators
+    with pytest.raises(ValueError):
+        parse_code_text("basis:\n# nothing here\n")
+
+
+def test_parse_stabilizer_text_skips_the_codespace():
+    # 12 qubits are past the dense dimension cap; only the generators are read
+    text = "\n".join("I" * i + "ZZ" + "I" * (10 - i) for i in range(11))
+    stab = parse_stabilizer_text(text)
+    assert stab.n == 12 and stab.rank() == 11
+    # building the codespace is refused before the 4096 x 4096 allocation
+    with pytest.raises(ValueError, match="exceeds cap"):
+        parse_code_text(text)
+    with pytest.raises(ValueError):
+        parse_stabilizer_text("basis:\n[[1, 0], [0, 0]]")
 
 
 def test_parse_code_text_basis():

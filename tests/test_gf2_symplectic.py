@@ -9,7 +9,6 @@ from qecdesk.gf2_symplectic import (
     PauliProduct,
     SearchCapExceeded,
     StabilizerGeneratorSet,
-    SymplecticForm,
     identity_word,
     single_qubit_word,
 )
@@ -93,17 +92,6 @@ def test_commutes_matches_dense_commutator():
         a, b = x.dense(), y.dense()
         dense_commute = np.allclose(a @ b, b @ a, atol=1e-12)
         assert x.commutes(y) == dense_commute
-
-
-def test_symplectic_form_decides_commutation():
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        n = int(rng.integers(1, 6))
-        x, y = rand_word(rng, n), rand_word(rng, n)
-        form = SymplecticForm(n)
-        parity = form.product(x.symplectic_vector().astype(int),
-                              y.symplectic_vector().astype(int))
-        assert (parity == 0) == x.commutes(y)
 
 
 def test_symplectic_vector_layout():

@@ -259,6 +259,22 @@ def test_run_monte_carlo_cyclic_fail_rate():
     assert abs(mc.metrics["fail"] - want) < 4 * sigma + 1e-12
 
 
+def test_run_monte_carlo_seeded_outcomes_are_pinned():
+    # 20000 trials span three blocks of 8192; a changed block size or stream
+    # layout moves these counts
+    rep = repetition_quantum()
+    ch = tensor_independent(bit_flip(0.25), 3)
+    mc = run_monte_carlo(rep, ch, StateVector((2,), np.array([0.6, 0.8])),
+                         trials=20000, seed=9)
+    assert mc.outcomes == (
+        ("00", "ok", 0.4401), ("00", "err", 0.00155),
+        ("01", "ok", 0.1834), ("01", "err", 0.004),
+        ("10", "ok", 0.1819), ("10", "err", 0.0035),
+        ("11", "ok", 0.18225), ("11", "err", 0.0033),
+    )
+    assert mc.metrics["error"] == pytest.approx(0.01235, abs=1e-15)
+
+
 def test_run_monte_carlo_is_deterministic():
     rep = repetition_quantum()
     ch = tensor_independent(bit_flip(0.25), 3)
