@@ -1,10 +1,10 @@
 """Detectability and correctability analysis, classical and quantum.
 
-The quantum tests are projector identities: an error E is detectable by a
-code with projector P exactly when PEP = lambda P, and a set {E_i} is
-correctable exactly when every E_i^dag E_j is detectable.  When the set is
-correctable, the resulting Gram matrix factors into an explicit syndrome
-decomposition and a recovery channel.
+The quantum tests run on the code basis C (projector P = C C^dag): E is
+detectable exactly when C^dag E C = lambda I, i.e. PEP = lambda P, and {E_i}
+is correctable exactly when C^dag E_i^dag E_j C = lambda_ij I for every pair
+(Knill-Laflamme).  One Gram matrix of the blocks E_i C decides both, and its
+lambda matrix factors into a syndrome decomposition and a recovery channel.
 """
 
 from __future__ import annotations
@@ -119,16 +119,6 @@ class DetectVerdict:
         }
 
 
-def detectable_quantum(code: CodeSubspace, error, atol: float = ATOL_ALGEBRA) -> DetectVerdict:
-    """Check PEP = lambda P with lambda = tr(PEP)/tr(P)."""
-    p = code.projector().matrix
-    e = _as_matrix(error)
-    pep = p @ e @ p
-    lam = complex(np.trace(pep) / np.trace(p))
-    residual = float(np.abs(pep - lam * p).max())
-    return DetectVerdict(residual <= atol, lam, residual)
-
-
 @dataclass(frozen=True, eq=False)
 class CorrectVerdict:
     correctable: bool
@@ -136,6 +126,7 @@ class CorrectVerdict:
     lambda_matrix: np.ndarray
     rank: int
     residual: float
+    blocks: np.ndarray  # [E_1 C | ... | E_m C] on the code basis C
 
     def to_json(self) -> dict:
         return {
@@ -145,43 +136,55 @@ class CorrectVerdict:
         }
 
 
-def _normalize_errors(errors) -> tuple[tuple[str, ...], list[np.ndarray]]:
+def _kl_kernel(code: CodeSubspace, errors, against_code: bool = False):
+    """Knill-Laflamme on the code basis C, a d x k isometry with P = C C^dag.
+
+    G = B^dag B for B = [E_1 C | ... | E_m C], read as (m, k, m, k), holds
+    G_ij = C^dag E_i^dag E_j C, and P E_i^dag E_j P = lambda_ij P exactly
+    when G_ij = lambda_ij I_k.  With against_code the bra side is C alone
+    (G_j = C^dag E_j C, detectability).  Returns (labels, B, lambda, residual)
+    with lambda_ij = tr(G_ij)/k and residual = max |G_ij - lambda_ij I_k|.
+    """
     labels, mats = [], []
     for item in errors:
-        if isinstance(item, tuple):
-            label, e = item
-        else:
-            label, e = str(item), item
+        label, e = item if isinstance(item, tuple) else (item, item)
         labels.append(str(label))
         mats.append(_as_matrix(e))
+        if mats[-1].shape != (code.physical_dim,) * 2:
+            raise ValueError(f"error {labels[-1]} has shape {mats[-1].shape}, "
+                             f"but the code needs {(code.physical_dim,) * 2}")
     if not mats:
         raise ValueError("empty error set")
-    return tuple(labels), mats
+    k = code.dim
+    c = code.basis_matrix()
+    blocks = np.hstack([e @ c for e in mats])
+    bra = c if against_code else blocks
+    g = (bra.conj().T @ blocks).reshape(bra.shape[1] // k, k, len(mats), k)
+    lam = np.trace(g, axis1=1, axis2=3) / k
+    residual = float(np.abs(g - lam[:, None, :, None] * np.eye(k)[:, None, :]).max())
+    return tuple(labels), blocks, lam, residual
+
+
+def detectable_quantum(code: CodeSubspace, error, atol: float = ATOL_ALGEBRA) -> DetectVerdict:
+    """Check C^dag E C = lambda I on the code basis C, i.e. PEP = lambda P;
+    the residual is max |C^dag E C - lambda I|."""
+    label = str(error) if isinstance(error, PauliProduct) else "E"
+    _, _, lam, residual = _kl_kernel(code, [(label, error)], against_code=True)
+    return DetectVerdict(residual <= atol, complex(lam[0, 0]), residual)
 
 
 def correctable_quantum(code: CodeSubspace, errors,
                         atol: float = ATOL_ALGEBRA) -> CorrectVerdict:
-    """All pairwise products E_i^dag E_j must be detectable; collect the Gram
-    matrix of their lambdas and its rank."""
-    labels, mats = _normalize_errors(errors)
-    m = len(mats)
-    p = code.projector().matrix
-    tr_p = float(np.trace(p).real)
-    lam = np.zeros((m, m), dtype=complex)
-    worst = 0.0
-    ok = True
-    for i in range(m):
-        for j in range(m):
-            pep = p @ mats[i].conj().T @ mats[j] @ p
-            lam[i, j] = np.trace(pep) / tr_p
-            worst = max(worst, float(np.abs(pep - lam[i, j] * p).max()))
-            if worst > atol:
-                ok = False
+    """Check C^dag E_i^dag E_j C = lambda_ij I for every pair, i.e.
+    P E_i^dag E_j P = lambda_ij P, from one Gram matrix of the blocks E_i C;
+    the residual is the worst max |C^dag E_i^dag E_j C - lambda_ij I|."""
+    labels, blocks, lam, residual = _kl_kernel(code, errors)
+    ok = residual <= atol
     evals = np.linalg.eigvalsh((lam + lam.conj().T) / 2.0)
     if ok and (np.abs(lam - lam.conj().T).max() > atol or evals[0] < -atol):
         raise RuntimeError("correctable Gram matrix failed Hermitian/PSD check")
     rank = int(np.sum(evals > 1e-9 * max(evals.max(), 1e-30)))
-    return CorrectVerdict(ok, labels, lam, rank, worst)
+    return CorrectVerdict(ok, labels, lam, rank, residual, blocks)
 
 
 def synthesize_decoder(code: CodeSubspace, errors) -> tuple[SubsystemIdentification, KrausChannel]:
@@ -197,38 +200,31 @@ def synthesize_decoder(code: CodeSubspace, errors) -> tuple[SubsystemIdentificat
     verdict = correctable_quantum(code, errors)
     if not verdict.correctable:
         raise ValueError("error set is not correctable on this code")
-    labels, mats = _normalize_errors(errors)
     lam = (verdict.lambda_matrix + verdict.lambda_matrix.conj().T) / 2.0
     evals, vecs = np.linalg.eigh(lam)
     keep = evals > 1e-9 * max(float(evals.max()), 1e-30)
     order = np.argsort(-evals[keep])
     evals_k = evals[keep][order]
     vecs_k = vecs[:, keep][:, order]
-    # fix eigenvector phases so the construction is deterministic
+    # fix each eigenvector's phase (largest entry real and positive).  Only the
+    # phases are pinned: inside a degenerate eigenspace the basis eigh picks,
+    # and so each recovery branch, can turn under a rounding-level change in
+    # Lambda, while the recovery channel as a whole stays the same.
     for c in range(vecs_k.shape[1]):
         idx = int(np.argmax(np.abs(vecs_k[:, c])))
         z = vecs_k[idx, c]
         if abs(z) > 0:
             vecs_k[:, c] *= z.conjugate() / abs(z)
     a = vecs_k / np.sqrt(evals_k)
-    s = a.shape[1]
-    cmat = code.basis_matrix()
-    dl = code.dim
-    cols = []
-    for k in range(s):
-        dk = sum(a[i, k] * mats[i] for i in range(len(mats)))
-        cols.append(dk @ cmat)
-    w = np.hstack(cols)
+    s, dl = a.shape[1], code.dim
+    w = verdict.blocks @ np.kron(a, np.eye(dl))  # column k*dl + m is D_k C e_m
     if np.abs(w.conj().T @ w - np.eye(s * dl)).max() > ATOL_EIG:
         raise RuntimeError("synthesized syndrome blocks are not orthonormal")
     iso = LinearOperator((s, dl), code.physical_dims, w)
-    labels_s = tuple(str(k) for k in range(s))
-    ident = SubsystemIdentification(code.physical_dims, s, dl, iso,
-                                    syndrome_base=0, syndrome_labels=labels_s)
-    ops = []
-    for k in range(s):
-        wk = w[:, k * dl:(k + 1) * dl]
-        ops.append((str(k), cmat @ wk.conj().T))
+    ident = SubsystemIdentification(code.physical_dims, s, dl, iso, syndrome_base=0,
+                                    syndrome_labels=tuple(str(k) for k in range(s)))
+    cmat = code.basis_matrix()
+    ops = [(str(k), cmat @ w[:, k * dl:(k + 1) * dl].conj().T) for k in range(s)]
     complement = np.eye(code.physical_dim, dtype=complex) - w @ w.conj().T
     bad: frozenset[str] = frozenset()
     if np.abs(complement).max() > ATOL_EIG:
@@ -249,7 +245,7 @@ def min_distance_quantum(code: CodeSubspace, alphabet: str = "XYZ",
         raise ValueError("distance search expects qubit factors")
     return _first_weight(
         len(code.physical_dims), alphabet, cap,
-        lambda word: not detectable_quantum(code, word.dense()).detectable,
+        lambda word: not detectable_quantum(code, word).detectable,
     )
 
 

@@ -433,7 +433,13 @@ def parse_channel_spec(text: str) -> KrausChannel:
         if key not in kw:
             grammar = " ".join(f"{k}=<value>" for k in _SPEC_KEYS[head])
             raise ValueError(f"{head} needs {key}=<value> (grammar: {head} {grammar})")
-        return float(kw[key])
+        try:
+            value = float(kw[key])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{head} needs a finite number for {key}=, got {kw[key]!r}")
+        return value
 
     if head == "depolarizing":
         return depolarizing(need(kwargs(rest), "p"))

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import analysis, channels, codes, pipelines
-from .gf2_symplectic import PauliProduct, SearchCapExceeded, single_qubit_word
+from .gf2_symplectic import PauliProduct, SearchCapExceeded, identity_word, single_qubit_word
 from .hilbert import StateVector, basis_state
 
 USAGE_EXIT = 64
@@ -33,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _round(obj, ndigits=10):
     if isinstance(obj, float):
-        return round(obj, ndigits)
+        return round(obj, ndigits) + 0.0  # -0.0 + 0.0 is 0.0
     if isinstance(obj, dict):
         return {k: _round(v, ndigits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -74,31 +74,44 @@ def _load_code(spec: str) -> codes.CodeDefinition:
     return codes.builtin_code(spec)
 
 
-def _parse_errors(spec: str, n: int):
+def _parse_errors(spec: str, definition: codes.CodeDefinition):
+    dims = definition.subspace.physical_dims
+    if any(d != 2 for d in dims):
+        raise ValueError(f"--errors takes Pauli words, but code {definition.name!r} "
+                         f"has physical dims {list(dims)}, not qubits")
+    n = len(dims)
     if spec.startswith("weight"):
+        if not spec[len("weight"):].isdecimal():
+            raise ValueError(f"--errors weightN needs a whole number N >= 0, got {spec!r}")
         return analysis.weight_le_errors(n, int(spec[len("weight"):]))
     out = []
     for token in spec.split(","):
         token = token.strip()
         if token == "I":
-            out.append(("I", np.eye(2 ** n, dtype=complex)))
+            out.append(("I", identity_word(n)))
         elif len(token) >= 2 and token[0] in "XYZ" and token[1:].isdigit():
             q = int(token[1:])
-            out.append((token, single_qubit_word(n, q - 1, token[0]).dense()))
+            out.append((token, single_qubit_word(n, q - 1, token[0])))
         else:
-            out.append((token, PauliProduct.from_string(token).dense()))
+            out.append((token, PauliProduct.from_string(token)))
     return out
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a float that is neither NaN nor infinite."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
+def _arg_type(convert, ok, what: str):
+    """argparse type: convert(text), refused as not `what` unless ok(value)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+        return value
+    return parse
+
+
+_finite_float = _arg_type(float, math.isfinite, "a finite number")
+_count = _arg_type(int, lambda v: v >= 0, "a whole number >= 0")
 
 
 def _parse_input(token: str, dim: int) -> StateVector:
@@ -128,8 +141,7 @@ def _input_desc(token: str) -> str:
 
 def cmd_check(args) -> int:
     definition = _load_code(args.code)
-    n = len(definition.subspace.physical_dims)
-    errors = _parse_errors(args.errors, n)
+    errors = _parse_errors(args.errors, definition)
     if len(errors) == 1 and not args.errors.startswith("weight"):
         label, e = errors[0]
         verdict = analysis.detectable_quantum(definition.subspace, e)
@@ -352,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mindist", help="minimum distance of a stabilizer code")
     p.add_argument("--stabilizer", required=True, help="builtin name or file")
     p.add_argument("--alphabet", default="XYZ")
-    p.add_argument("--cap", type=int, default=5)
+    p.add_argument("--cap", type=_count, default=5)
     common(p)
     p.set_defaults(func=cmd_mindist)
 
@@ -360,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--channel", required=True, help="e.g. 'independent n=3 bitflip p=0.25'")
     p.add_argument("--input", default="0")
-    p.add_argument("--trials", type=int, default=0, help="0 = exact")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_count, default=0, help="0 = exact")
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--fail-threshold", type=_finite_float, default=0.5)
     common(p)
     p.set_defaults(func=cmd_simulate)
@@ -372,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_twirl)
 
     p = sub.add_parser("noiseless", help="derive and verify the three-spin qubit")
-    p.add_argument("--rotations", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rotations", type=_count, default=100)
+    p.add_argument("--seed", type=_count, default=0)
     common(p)
     p.set_defaults(func=cmd_noiseless)
 

@@ -22,7 +22,6 @@ from .hilbert import (
     DensityOperator,
     LinearOperator,
     StateVector,
-    projector,
 )
 
 
@@ -64,9 +63,6 @@ class CodeSubspace:
 
     def basis_matrix(self) -> np.ndarray:
         return np.column_stack([b.amplitudes for b in self.basis])
-
-    def projector(self) -> LinearOperator:
-        return projector(list(self.basis))
 
 
 @dataclass(frozen=True, eq=False)

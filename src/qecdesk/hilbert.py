@@ -2,7 +2,7 @@
 
 Everything here is plain numpy on explicitly-shaped dense arrays.  States and
 operators carry their subsystem dimension tuples so that tensor bookkeeping
-(partial traces, embeddings, projectors) stays honest.  Values are treated as
+(partial traces, embeddings) stays honest.  Values are treated as
 immutable: operations return new objects and the backing arrays are marked
 read-only.
 """
@@ -223,18 +223,6 @@ def tensor(*factors):
             dout = dout + f.dims_out
         return LinearOperator(din, dout, m)
     raise TypeError("tensor factors must all be states, densities, or operators")
-
-
-def projector(basis: list[StateVector]) -> LinearOperator:
-    """Orthogonal projector onto the span of an orthonormal family."""
-    if not basis:
-        raise ValueError("empty basis")
-    dims = basis[0].dims
-    V = np.column_stack([b.amplitudes for b in basis])
-    gram = V.conj().T @ V
-    if np.abs(gram - np.eye(len(basis))).max() > ATOL_ALGEBRA:
-        raise ValueError("basis is not orthonormal")
-    return LinearOperator(dims, dims, V @ V.conj().T)
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:

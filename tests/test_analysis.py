@@ -36,10 +36,12 @@ from qecdesk.codes import (
     three_spin_noiseless,
 )
 from qecdesk.gf2_symplectic import (
+    PauliProduct,
     SearchCapExceeded,
     StabilizerGeneratorSet,
     single_qubit_word,
 )
+from qecdesk.hilbert import ATOL_ALGEBRA
 
 STEANE = ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"]
 
@@ -175,7 +177,8 @@ def test_five_qubit_weight_one_gram_matrix_is_identity():
     verdict = correctable_quantum(space, errs)
     assert verdict.correctable
     assert verdict.rank == 16
-    assert np.abs(verdict.lambda_matrix - np.eye(16)).max() < 1e-9
+    # exact: the code amplitudes are 0 or +-1/4, so no rounding enters
+    assert np.array_equal(verdict.lambda_matrix, np.eye(16))
 
 
 def test_repetition_flips_correctable_until_z_joins():
@@ -201,6 +204,94 @@ def test_gram_matrix_transforms_by_congruence_under_remix():
     assert np.allclose(lam2, u.conj() @ lam @ u.T, atol=1e-10)
 
 
+def _dense_kl_oracle(space, mats):
+    """Knill-Laflamme in projector form, P E_i^dag E_j P = lambda_ij P with
+    P = C C^dag, built densely pair by pair."""
+    c = space.basis_matrix()
+    p = c @ c.conj().T
+    m = len(mats)
+    lam = np.zeros((m, m), dtype=complex)
+    worst = 0.0
+    for i in range(m):
+        for j in range(m):
+            pep = p @ mats[i].conj().T @ mats[j] @ p
+            lam[i, j] = np.trace(pep) / space.dim
+            worst = max(worst, float(np.abs(pep - lam[i, j] * p).max()))
+    evals = np.linalg.eigvalsh((lam + lam.conj().T) / 2.0)
+    rank = int(np.sum(evals > 1e-9 * max(evals.max(), 1e-30)))
+    return lam, worst, rank
+
+
+def _oracle_case(name):
+    rep = builtin_code("repetition3").subspace
+    flips = [("I", np.eye(8))] + [
+        (f"X{i+1}", embed(SIGMA["X"], i)) for i in range(3)
+    ]
+    if name == "repetition3-flips":
+        return rep, flips
+    if name == "repetition3-flips-z1":
+        return rep, flips + [("Z1", embed(SIGMA["Z"], 0))]
+    if name == "repetition3-remix":
+        u = rand_unitary(np.random.default_rng(36), 4)
+        return rep, [(f"U{f}", sum(u[f, e] * flips[e][1] for e in range(4)))
+                     for f in range(4)]
+    if name.startswith("fivequbit-w"):
+        return five_qubit()[1], weight_le_errors(5, int(name[-1]))
+    if name == "steane7-w1-subset":
+        # I and every weight-1 word on qubits 1-3
+        space = stabilizer_codespace(StabilizerGeneratorSet.from_strings(STEANE))
+        return space, weight_le_errors(7, 1)[:10]
+    if name == "threespin-w1":
+        return builtin_code("threespin").subspace, weight_le_errors(3, 1)
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("name", [
+    "repetition3-flips", "repetition3-flips-z1", "fivequbit-w1", "fivequbit-w2",
+    "steane7-w1-subset", "threespin-w1", "repetition3-remix",
+])
+def test_code_basis_kernel_matches_dense_projector_oracle(name):
+    space, errs = _oracle_case(name)
+    mats = [m for _, m in errs]
+    lam, worst, rank = _dense_kl_oracle(space, mats)
+    verdict = correctable_quantum(space, errs)
+    assert verdict.correctable == (worst <= ATOL_ALGEBRA)
+    assert verdict.rank == rank
+    assert np.abs(verdict.lambda_matrix - lam).max() <= 1e-12
+    c = space.basis_matrix()
+    p = c @ c.conj().T
+    for e in mats:
+        pep = p @ e @ p
+        lam_e = np.trace(pep) / space.dim
+        single = detectable_quantum(space, e)
+        assert single.detectable == (np.abs(pep - lam_e * p).max() <= ATOL_ALGEBRA)
+        assert abs(single.lam - lam_e) <= 1e-12
+
+
+def test_residual_is_measured_on_the_code_basis():
+    # max |C^dag E_i^dag E_j C - lambda_ij I| rather than the projector form
+    # max |P E_i^dag E_j P - lambda_ij P|; on five-qubit weight <= 2 these are
+    # 1.0 and 0.0625, both far above ATOL_ALGEBRA, so the verdict agrees
+    space, errs = _oracle_case("fivequbit-w2")
+    verdict = correctable_quantum(space, errs)
+    assert not verdict.correctable
+    assert verdict.residual == pytest.approx(1.0, abs=1e-12)
+    _, worst, _ = _dense_kl_oracle(space, [m for _, m in errs])
+    assert worst == pytest.approx(0.0625, abs=1e-12)
+    z1 = detectable_quantum(builtin_code("repetition3").subspace, embed(SIGMA["Z"], 0))
+    assert z1.residual == pytest.approx(1.0, abs=1e-12)
+
+
+def test_kernel_rejects_errors_of_the_wrong_shape():
+    space = builtin_code("repetition3").subspace
+    with pytest.raises(ValueError, match=r"error X1 has shape \(2, 2\).*\(8, 8\)"):
+        correctable_quantum(space, [("I", np.eye(8)), ("X1", SIGMA["X"])])
+    with pytest.raises(ValueError, match=r"\(4, 4\).*\(8, 8\)"):
+        detectable_quantum(space, np.eye(4))
+    with pytest.raises(ValueError, match=r"error XX has shape \(4, 4\)"):
+        detectable_quantum(space, PauliProduct.from_string("XX"))
+
+
 def test_synthesize_decoder_repetition():
     space = builtin_code("repetition3").subspace
     errs = [("I", np.eye(8))] + [
@@ -222,15 +313,17 @@ def test_synthesize_decoder_repetition():
 
 def test_synthesized_recovery_corrects_each_error():
     rng = np.random.default_rng(32)
-    for name, max_w in (("repetition3", 0), ("fivequbit", 1)):
-        space = builtin_code(name).subspace
-        n = int(math.log2(space.physical_dim))
-        if name == "repetition3":
-            errs = [("I", np.eye(8))] + [
-                (f"X{i+1}", embed(SIGMA["X"], i)) for i in range(3)
-            ]
-        else:
-            errs = weight_le_errors(n, max_w)
+    steane = stabilizer_codespace(StabilizerGeneratorSet.from_strings(STEANE))
+    cases = (
+        (builtin_code("repetition3").subspace, [("I", np.eye(8))] + [
+            (f"X{i+1}", embed(SIGMA["X"], i)) for i in range(3)
+        ]),
+        (builtin_code("fivequbit").subspace, weight_le_errors(5, 1)),
+        # Lambda = I is degenerate: the individual syndrome blocks depend on
+        # the eigenbasis eigh picks, the recovery channel does not
+        (steane, weight_le_errors(7, 1)),
+    )
+    for space, errs in cases:
         _, recovery = synthesize_decoder(space, errs)
         c = space.basis_matrix()
         for _, e in errs:

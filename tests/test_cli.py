@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from qecdesk.cli import DEMO_NAMES, USAGE_EXIT, main
+from qecdesk.cli import DEMO_NAMES, USAGE_EXIT, _round, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -242,6 +242,34 @@ def test_usage_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["concat", "--p", "1e-3", "--C", "100", "--json"])  # flag removed
     assert exc.value.code == USAGE_EXIT
+    capsys.readouterr()
+    negatives = (
+        ("--rotations", ["noiseless", "--rotations", "-3"]),
+        ("--seed", ["noiseless", "--seed", "-1"]),
+        ("--cap", ["mindist", "--stabilizer", "fivequbit", "--cap", "-1"]),
+        ("--trials", ["simulate", "--code", "repetition3", "--channel",
+                      "bitflip p=0.1", "--trials", "-5"]),
+        ("--seed", ["simulate", "--code", "repetition3", "--channel",
+                    "bitflip p=0.1", "--trials", "5", "--seed", "-1"]),
+        ("--rotations", ["noiseless", "--rotations", "2.5"]),
+    )
+    for flag, argv in negatives:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == USAGE_EXIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+    # Pauli error specs on a code that is not made of qubits, and a
+    # negative weight
+    for code, spec in (("cyclic7", "weight1"), ("cyclic7", "I"),
+                       ("repetition3", "weight-1"), ("repetition3", "weightx")):
+        assert main(["check", "--code", code, "--errors", spec]) == USAGE_EXIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--errors" in captured.err
+        if code == "cyclic7":
+            assert "'cyclic7'" in captured.err and "[7]" in captured.err
 
 
 def test_domain_errors_exit_64(capsys):
@@ -269,6 +297,26 @@ def test_non_finite_numbers_are_refused(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--fail-threshold" in captured.err
+    for key, bad in (("vx", "nan"), ("vy", "inf"), ("vz", "-inf")):
+        spec = {"vx": "0.1", "vy": "0.2", "vz": "0.3", key: bad}
+        text = "collective " + " ".join(f"{k}={v}" for k, v in spec.items())
+        assert main(["simulate", "--code", "repetition3", "--channel", text]) == USAGE_EXIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{key}=" in captured.err and bad in captured.err
+    for bad in ("nan", "abc"):
+        assert main(["twirl", "--channel", f"depolarizing p={bad}"]) == USAGE_EXIT
+        assert f"p=, got '{bad}'" in capsys.readouterr().err
+
+
+def test_json_output_has_no_negative_zero(capsys):
+    rounded = _round({"a": [-0.0, -1e-12, 0.0], "b": -0.0, "c": -0.25})
+    assert json.dumps(rounded) == '{"a": [0.0, 0.0, 0.0], "b": 0.0, "c": -0.25}'
+    assert main(["check", "--code", "threespin", "--errors", "weight1"]) == 1
+    entries = json.loads(capsys.readouterr().out)["lambda_matrix"]
+    flat = [x for row in entries for pair in row for x in pair]
+    assert 0.0 in flat
+    assert all(math.copysign(1.0, x) == 1.0 for x in flat if x == 0.0)
 
 
 def test_missing_channel_key_names_key_and_grammar(capsys):

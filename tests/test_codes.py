@@ -201,13 +201,15 @@ def test_stabilizer_codespace_repetition():
     assert space.dim == 2
     want = np.zeros((8, 8))
     want[0, 0] = want[7, 7] = 1.0
-    assert np.allclose(space.projector().matrix, want, atol=1e-12)
+    c = space.basis_matrix()
+    assert np.allclose(c @ c.conj().T, want, atol=1e-12)
 
 
 def test_stabilizer_codespace_five_qubit():
     stab, space = five_qubit()
     assert space.dim == 2
-    p = space.projector().matrix
+    c = space.basis_matrix()
+    p = c @ c.conj().T
     assert np.trace(p).real == pytest.approx(2.0, abs=1e-9)
     for g in stab.generators:
         for b in space.basis:

@@ -19,7 +19,6 @@ from qecdesk.hilbert import (
     identity,
     partial_trace,
     pauli,
-    projector,
     tensor,
     to_json_array,
 )
@@ -117,16 +116,6 @@ def test_total_dimension_cap():
         basis_state((2,) * 11, 0)
     # at the cap is fine
     basis_state((2,) * 10, 0)
-
-
-def test_projector_needs_orthonormal_family():
-    good = [basis_state((4,), 0), basis_state((4,), 2)]
-    p = projector(good)
-    assert np.allclose(p.matrix @ p.matrix, p.matrix)
-    assert np.trace(p.matrix) == pytest.approx(2.0)
-    tilted = StateVector((4,), np.array([1.0, 1.0, 0, 0]) / math.sqrt(2))
-    with pytest.raises(ValueError):
-        projector([basis_state((4,), 0), tilted])
 
 
 def test_partial_trace_product_state():
