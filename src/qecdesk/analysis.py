@@ -224,13 +224,25 @@ def synthesize_decoder(code: CodeSubspace, errors) -> tuple[SubsystemIdentificat
     ident = SubsystemIdentification(code.physical_dims, s, dl, iso, syndrome_base=0,
                                     syndrome_labels=tuple(str(k) for k in range(s)))
     cmat = code.basis_matrix()
-    ops = [(str(k), cmat @ w[:, k * dl:(k + 1) * dl].conj().T) for k in range(s)]
-    complement = np.eye(code.physical_dim, dtype=complex) - w @ w.conj().T
+    d = code.physical_dim
+    complement = np.eye(d, dtype=complex) - w @ w.conj().T
+    labels = [str(k) for k in range(s)]
     bad: frozenset[str] = frozenset()
     if np.abs(complement).max() > ATOL_EIG:
-        ops.append(("fail", complement))
+        labels.append("fail")
         bad = frozenset({"fail"})
-    recovery = KrausChannel(code.physical_dims, tuple(ops), bad)
+    adjoints = w.reshape(d, s, dl).conj().transpose(1, 2, 0)  # [k] = (D_k C)^dag
+
+    def recovery_ops(start, stop):
+        # R_k = C (D_k C)^dag, computed straight into the channel's block
+        out = np.empty((stop - start, d, d), dtype=complex)
+        k = min(stop, s)
+        np.matmul(cmat, adjoints[start:k], out=out[:k - start])
+        if stop > s:
+            out[-1] = complement
+        return out
+
+    recovery = KrausChannel._build(code.physical_dims, labels, recovery_ops, bad)
     return ident, recovery
 
 

@@ -3,6 +3,13 @@
 Each channel is a finite list of (label, Kraus operator) pairs satisfying the
 completeness relation; the labels name orthogonal environment outcomes, which
 is what makes coarse per-label error bounds and branch sampling meaningful.
+
+The operators are stored in read-only stacked blocks of shape (c, d, d), each
+of at most 2**16 complex entries (1 MiB), or one operator when a single
+operator is larger; `ops` is the tuple of (label, view) pairs over them.
+Products of independent noise (batched Kronecker products) and synthesized
+recoveries are computed straight into these blocks, and consumers with a
+small per-operator body contract a whole block at a time.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +27,7 @@ from .hilbert import (
     DensityOperator,
     LinearOperator,
     StateVector,
+    _check_dims,
     exp_hermitian,
     pauli,
     tensor,
@@ -27,44 +35,93 @@ from .hilbert import (
 
 MAX_KRAUS_OPS = 4096
 
+# complex entries per stacked operator block and per temporary that walks one:
+# freed arrays of several MiB make glibc raise its mmap threshold and keep the
+# heap, which then stays resident long after a large product is gone
+_BLOCK_ENTRIES = 2 ** 16
+
 _SIGMA = {u: pauli(u).matrix for u in "IXYZ"}
+
+
+def _block_len(d: int) -> int:
+    """How many d x d complex matrices fit in one block (at least one)."""
+    return max(1, _BLOCK_ENTRIES // (d * d))
 
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Trace-preserving operator sum on a fixed tensor-product space."""
+    """Trace-preserving operator sum on a fixed tensor-product space.
+
+    `blocks` holds the operators in order, _block_len(d) to a block (the last
+    may be shorter); `ops` pairs each label with its view into them.
+    """
 
     dims: tuple[int, ...]
     ops: tuple[tuple[str, np.ndarray], ...]
     bad_labels: frozenset[str] = frozenset()
+    blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        d = math.prod(dims)
-        if not self.ops:
+        pairs = tuple(self.ops)
+
+        def stack(start, stop):
+            d = self.dim  # _seal has validated dims before the first block
+            blk = np.empty((stop - start, d, d), dtype=complex)
+            for j, (label, a) in enumerate(pairs[start:stop]):
+                a = np.asarray(a)
+                if a.shape != (d, d):
+                    raise ValueError(f"operator {label!r} has shape {a.shape}, want {(d, d)}")
+                blk[j] = a
+            return blk
+
+        self._seal([str(label) for label, _ in pairs], stack)
+
+    @classmethod
+    def _build(cls, dims, labels: list[str], make, bad_labels: frozenset[str]) -> KrausChannel:
+        """Channel whose operators start:stop come stacked from make(start, stop).
+
+        make is called once per block, in order, so a caller that computes
+        operators in batches writes them straight into their blocks.
+        """
+        ch = object.__new__(cls)
+        object.__setattr__(ch, "dims", dims)
+        object.__setattr__(ch, "bad_labels", bad_labels)
+        ch._seal(labels, make)
+        return ch
+
+    def _seal(self, labels: list[str], make) -> None:
+        """The one validation behind both ways in; builds and freezes the blocks."""
+        object.__setattr__(self, "dims", _check_dims(self.dims))
+        d = self.dim
+        if not labels:
             raise ValueError("channel needs at least one operator")
-        if len(self.ops) > MAX_KRAUS_OPS:
-            raise ValueError(f"{len(self.ops)} operators exceed cap {MAX_KRAUS_OPS}")
-        ops = []
-        total = np.zeros((d, d), dtype=complex)
-        seen = set()
-        for label, a in self.ops:
-            a = np.asarray(a, dtype=complex)
-            if a.shape != (d, d):
-                raise ValueError(f"operator {label!r} has shape {a.shape}, want {(d, d)}")
-            if label in seen:
-                raise ValueError(f"duplicate label {label!r}")
-            seen.add(label)
-            a.setflags(write=False)
-            ops.append((str(label), a))
-            total += a.conj().T @ a
-        if np.abs(total - np.eye(d)).max() > ATOL_ALGEBRA:
-            raise ValueError("operator sum is not trace preserving")
-        if not set(self.bad_labels) <= seen:
+        if len(labels) > MAX_KRAUS_OPS:
+            raise ValueError(f"{len(labels)} operators exceed cap {MAX_KRAUS_OPS}")
+        if len(set(labels)) != len(labels):
+            seen = set()
+            dup = next(l for l in labels if l in seen or seen.add(l))
+            raise ValueError(f"duplicate label {dup!r}")
+        bad = frozenset(self.bad_labels)
+        if not bad <= set(labels):
             raise ValueError("bad_labels mentions unknown labels")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "ops", tuple(ops))
-        object.__setattr__(self, "bad_labels", frozenset(self.bad_labels))
+        blocks = []
+        total = np.zeros((d, d), dtype=complex)
+        step = _block_len(d)
+        for start in range(0, len(labels), step):
+            stop = min(start + step, len(labels))
+            blk = make(start, stop)
+            if blk.shape != (stop - start, d, d) or blk.dtype != complex:
+                raise ValueError(f"operators {start}:{stop} came as {blk.dtype} {blk.shape}, "
+                                 f"want complex {(stop - start, d, d)}")
+            blk.setflags(write=False)
+            blocks.append(blk)
+            flat = blk.reshape(-1, d)
+            total += flat.conj().T @ flat
+        if not np.abs(total - np.eye(d)).max() <= ATOL_ALGEBRA:
+            raise ValueError("operator sum is not trace preserving")
+        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "ops", tuple(zip(labels, itertools.chain(*blocks))))
+        object.__setattr__(self, "bad_labels", bad)
 
     @property
     def dim(self) -> int:
@@ -228,30 +285,61 @@ def tensor_channels(*channels: KrausChannel) -> KrausChannel:
     """Independent noise on disjoint factors; one operator per label tuple.
 
     Component labels concatenate directly when every factor uses
-    single-character labels, and are comma-joined otherwise.
+    single-character labels, and are comma-joined otherwise.  Operators come
+    in label-tuple order (last factor fastest) and are built a block at a
+    time: the block's operator indices are unraveled into factor indices and
+    the gathered factor operators folded with batched Kronecker products.
     """
     if not channels:
         raise ValueError("tensor of no channels")
     if len(channels) == 1:
         return channels[0]
-    count = math.prod(len(ch.ops) for ch in channels)
+    shape = tuple(len(ch.ops) for ch in channels)
+    count = math.prod(shape)
     if count > MAX_KRAUS_OPS:
         raise ValueError(f"{count} operators exceed cap {MAX_KRAUS_OPS}")
-    sep = "" if all(
-        len(l) == 1 for ch in channels for l in ch.labels()
-    ) else ","
-    ops = []
-    bad = set()
-    for combo in itertools.product(*(ch.ops for ch in channels)):
-        label = sep.join(l for l, _ in combo)
-        mat = combo[0][1]
-        for _, m in combo[1:]:
-            mat = np.kron(mat, m)
-        ops.append((label, mat))
-        if any(l in ch.bad_labels for ch, (l, _) in zip(channels, combo)):
-            bad.add(label)
     dims = sum((ch.dims for ch in channels), ())
-    return KrausChannel(dims, tuple(ops), frozenset(bad))
+    names = [ch.labels() for ch in channels]
+    sep = "" if all(len(l) == 1 for ls in names for l in ls) else ","
+    labels = [sep.join(combo) for combo in itertools.product(*names)]
+    bad = np.zeros(shape, dtype=bool)
+    for axis, (ch, ls) in enumerate(zip(channels, names)):
+        flags = np.array([l in ch.bad_labels for l in ls])
+        bad |= flags.reshape((-1,) + (1,) * (len(shape) - axis - 1))
+
+    def product(start, stop):
+        idx = np.unravel_index(np.arange(start, stop), shape)
+        return _kron_stack([_gather(ch, i) for ch, i in zip(channels, idx)])
+
+    return KrausChannel._build(
+        dims, labels, product, frozenset(itertools.compress(labels, bad.reshape(-1)))
+    )
+
+
+def _gather(ch: KrausChannel, idx: np.ndarray) -> np.ndarray:
+    """Operators idx of ch as one (len(idx), d, d) stack, read block by block."""
+    which, at = np.divmod(idx, _block_len(ch.dim))
+    out = np.empty((len(idx), ch.dim, ch.dim), dtype=complex)
+    for b in np.unique(which):
+        sel = which == b
+        out[sel] = ch.blocks[b][at[sel]]
+    return out
+
+
+def _kron_stack(stacks: list[np.ndarray]) -> np.ndarray:
+    """out[j] = stacks[0][j] (x) stacks[1][j] (x) ..., folded from the right.
+
+    Each step broadcasts (c, a, 1, a, 1) against (c, 1, b, 1, b) into a new
+    (c, ab, ab) stack, so the contiguous inner axis is the long one.
+    """
+    acc = stacks[-1]
+    for f in reversed(stacks[:-1]):
+        c, a, b = len(f), f.shape[1], acc.shape[1]
+        out = np.empty((c, a * b, a * b), dtype=complex)
+        np.multiply(f[:, :, None, :, None], acc[:, None, :, None, :],
+                    out=out.reshape(c, a, b, a, b))
+        acc = out
+    return acc
 
 
 def tensor_independent(ch: KrausChannel, n: int) -> KrausChannel:

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -91,6 +92,8 @@ def _parse_errors(spec: str, definition: codes.CodeDefinition):
             out.append(("I", identity_word(n)))
         elif len(token) >= 2 and token[0] in "XYZ" and token[1:].isdigit():
             q = int(token[1:])
+            if not 1 <= q <= n:
+                raise ValueError(f"--errors {token}: qubits are numbered 1..{n}")
             out.append((token, single_qubit_word(n, q - 1, token[0])))
         else:
             out.append((token, PauliProduct.from_string(token)))
@@ -102,7 +105,7 @@ def _arg_type(convert, ok, what: str):
     def parse(text: str):
         try:
             value = convert(text)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             value = None
         if value is None or not ok(value):
             raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
@@ -112,6 +115,8 @@ def _arg_type(convert, ok, what: str):
 
 _finite_float = _arg_type(float, math.isfinite, "a finite number")
 _count = _arg_type(int, lambda v: v >= 0, "a whole number >= 0")
+# exact: 1e-3 and 1/1000 both give Fraction(1, 1000); nan and inf do not parse
+_fraction = _arg_type(Fraction, lambda v: True, "a finite decimal or fraction")
 
 
 def _parse_input(token: str, dim: int) -> StateVector:
@@ -286,7 +291,6 @@ def cmd_demo(args) -> int:
         return 0
     if name == "repetition-classical":
         rep = codes.repetition_classical()
-        from fractions import Fraction
         failure = codes.repetition_failure_probability(Fraction(1, 4))
         payload = {
             "scenario": "repetition-classical",
@@ -390,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_noiseless)
 
     p = sub.add_parser("concat", help="concatenation level arithmetic")
-    p.add_argument("--p", required=True)
-    p.add_argument("--C", required=True)
+    p.add_argument("--p", type=_fraction, required=True)
+    p.add_argument("--C", type=_fraction, required=True)
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--block", type=int, default=3)
     common(p)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _philox_blocks
+from .channels import _BLOCK_ENTRIES, KrausChannel, _philox_blocks
 from .hilbert import (
     ATOL_ALGEBRA,
     DensityOperator,
@@ -64,7 +64,8 @@ def entanglement_fidelity(ch: KrausChannel) -> float:
     whichever maximally entangled state is chosen.
     """
     d = ch.dim
-    return float(sum(abs(np.trace(a)) ** 2 for _, a in ch.ops) / d ** 2)
+    total = sum(float(np.sum(np.abs(np.einsum("mii->m", blk)) ** 2)) for blk in ch.blocks)
+    return total / d ** 2
 
 
 def average_error_from_entanglement(eps_e: float, k: int) -> float:
@@ -94,29 +95,37 @@ def average_error_monte_carlo(ch: KrausChannel, trials: int, seed: int = 0) -> M
     Each trial draws a Haar-random pure state psi and evaluates
     1 - <psi| ch(psi) |psi>.  Trials are grouped into fixed-size blocks, each
     with its own counter-derived stream from the single seed, so the result
-    does not depend on how blocks are scheduled.
+    does not depend on how blocks are scheduled.  Within a block, trials are
+    drawn in chunks small enough that both the outer products
+    conj(psi) (x) psi and their GEMM with a whole operator block, which gives
+    <psi|A|psi> for every operator in it, fill at most one block's worth of
+    entries.  Blocks merge as (count, mean, M2), Chan et al.'s update.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     d = ch.dim
-    mats = [a for _, a in ch.ops]
-    total = 0.0
-    total_sq = 0.0
+    flats = [blk.reshape(len(blk), d * d) for blk in ch.blocks]
+    chunk = max(1, _BLOCK_ENTRIES // max(d * d, len(flats[0])))
+    done, mean, m2 = 0, 0.0, 0.0
     for g, count in _philox_blocks(seed, trials, _MC_BLOCK):
-        z = g.standard_normal((count, d, 2))
-        psi = z[..., 0] + 1j * z[..., 1]
-        psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
         fid = np.zeros(count)
-        for a in mats:
-            amp = np.einsum("nd,de,ne->n", psi.conj(), a, psi)
-            fid += np.abs(amp) ** 2
+        for start in range(0, count, chunk):
+            # consecutive draws from one generator continue its stream, so
+            # chunking leaves the block's numbers as one draw would give them
+            z = g.standard_normal((min(chunk, count - start), d, 2))
+            psi = z[..., 0] + 1j * z[..., 1]
+            psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
+            outer = (psi.conj()[:, :, None] * psi[:, None, :]).reshape(len(psi), d * d)
+            for flat in flats:
+                fid[start:start + len(psi)] += (np.abs(flat @ outer.T) ** 2).sum(axis=0)
         err = 1.0 - fid
-        total += float(err.sum())
-        total_sq += float((err ** 2).sum())
-    mean = total / trials
-    var = max(total_sq / trials - mean ** 2, 0.0)
-    if trials > 1:
-        var *= trials / (trials - 1.0)
+        block_mean = float(err.mean())
+        delta = block_mean - mean
+        total = done + count
+        mean += delta * count / total
+        m2 += float(((err - block_mean) ** 2).sum()) + delta * delta * done * count / total
+        done = total
+    var = m2 / (trials - 1.0) if trials > 1 else 0.0
     return MonteCarloEstimate(mean, math.sqrt(var / trials), trials, seed)
 
 

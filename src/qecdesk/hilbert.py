@@ -32,7 +32,7 @@ def _check_dims(dims: tuple[int, ...]) -> tuple[int, ...]:
         raise ValueError(f"invalid subsystem dimensions {dims}")
     if math.prod(dims) > MAX_TOTAL_DIM:
         raise ValueError(
-            f"total dimension {math.prod(dims)} exceeds cap {MAX_TOTAL_DIM}"
+            f"total dimension {math.prod(dims)} exceeds cap MAX_TOTAL_DIM={MAX_TOTAL_DIM}"
         )
     return dims
 

@@ -1,6 +1,8 @@
 """Kraus channels: construction guards, named noise models, twirling."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +202,122 @@ def test_tensor_bad_labels_propagate():
     marked = KrausChannel((2,), bit_flip(0.5).ops, bad_labels=frozenset({"x"}))
     pair = tensor_channels(marked, bit_flip(0.5))
     assert pair.bad_labels == {"x0", "xx"}
+
+
+def kron_chain(*channels):
+    """The product channel the slow way: one np.kron chain per label tuple."""
+    sep = "" if all(len(l) == 1 for ch in channels for l in ch.labels()) else ","
+    ops, bad = [], set()
+    for combo in itertools.product(*(ch.ops for ch in channels)):
+        label = sep.join(l for l, _ in combo)
+        mat = combo[0][1]
+        for _, m in combo[1:]:
+            mat = np.kron(mat, m)
+        ops.append((label, mat))
+        if any(l in ch.bad_labels for ch, (l, _) in zip(channels, combo)):
+            bad.add(label)
+    return KrausChannel(sum((ch.dims for ch in channels), ()), tuple(ops), frozenset(bad))
+
+
+def assert_same_channel(got, want):
+    assert got.dims == want.dims
+    assert got.labels() == want.labels()
+    assert got.bad_labels == want.bad_labels
+    diff = max(np.abs(a - b).max() for (_, a), (_, b) in zip(got.ops, want.ops))
+    assert diff <= 1e-15
+
+
+def test_tensor_channels_match_kron_chain_oracle():
+    marked = KrausChannel((2,), depolarizing(0.2).ops, bad_labels=frozenset({"x", "y"}))
+    for n in range(2, 6):
+        for n_dep in range(n + 1):
+            factors = [depolarizing(0.05 + 0.01 * i) if i < n_dep else bit_flip(0.1 + 0.02 * i)
+                       for i in range(n)]
+            factors[n_dep % n] = marked  # the flagged factor moves from case to case
+            assert_same_channel(tensor_channels(*factors), kron_chain(*factors))
+    # mixed dimensions and comma-joined labels, in both orders
+    pair = (bit_flip(0.3), gaussian_shift(7))
+    for factors in (pair, pair[::-1]):
+        got = tensor_channels(*factors)
+        assert "," in got.labels()[0]
+        assert_same_channel(got, kron_chain(*factors))
+
+
+def test_tensor_channels_block_layout():
+    # 3,125 operators of 32 x 32: 48 full blocks of 64 and a last one of 53
+    dep5 = tensor_independent(depolarizing(0.1), 5)
+    assert [len(b) for b in dep5.blocks] == [64] * 48 + [53]
+    assert all(b.nbytes <= 2 ** 20 and not b.flags.writeable for b in dep5.blocks)
+    assert np.shares_memory(dep5.ops[64][1], dep5.blocks[1])
+    assert not dep5.ops[-1][1].flags.writeable
+    assert_same_channel(dep5, kron_chain(*[depolarizing(0.1)] * 5))
+    # d = 128: four operators to a block
+    factors = [depolarizing(0.2)] + [bit_flip(0.15)] * 6
+    big = tensor_channels(*factors)
+    assert big.dim == 128 and {len(b) for b in big.blocks} == {4}
+    assert_same_channel(big, kron_chain(*factors))
+    # a factor that itself spans several blocks (625 operators of 16 x 16)
+    dep4 = tensor_independent(depolarizing(0.1), 4)
+    assert len(dep4.blocks) == 3
+    nested = tensor_channels(dep4, bit_flip(0.2))
+    assert nested.labels()[:3] == ["0000,0", "0000,x", "0001,0"]
+    assert_same_channel(nested, kron_chain(kron_chain(*[depolarizing(0.1)] * 4), bit_flip(0.2)))
+
+
+def test_both_ways_in_reject_invalid_operator_sets():
+    a = math.sqrt(0.5) * np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="trace preserving"):
+        KrausChannel((2,), (("0", a),))
+    with pytest.raises(ValueError, match="trace preserving"):  # a NaN sum is not the identity
+        KrausChannel((2,), (("0", np.full((2, 2), np.nan)),))
+    with pytest.raises(ValueError, match="duplicate label '0'"):
+        KrausChannel((2,), (("0", a), ("0", a)))
+    with pytest.raises(ValueError, match="shape"):
+        KrausChannel((2,), (("0", a), ("1", np.eye(3))))
+    def build(labels, stack, bad=frozenset()):
+        return KrausChannel._build((2,), labels, lambda start, stop: stack, bad)
+
+    pair = np.stack([a, a])
+    assert build(["0", "1"], pair).labels() == ["0", "1"]
+    with pytest.raises(ValueError, match="trace preserving"):
+        build(["0", "1"], np.stack([a, 2 * a]))
+    with pytest.raises(ValueError, match="duplicate label '0'"):
+        build(["0", "0"], pair)
+    with pytest.raises(ValueError, match="want complex"):
+        build(["0", "1"], np.stack([a, a, a]))
+    with pytest.raises(ValueError, match="want complex"):
+        build(["0", "1"], np.zeros((2, 2, 3), dtype=complex))
+    with pytest.raises(ValueError, match="want complex"):
+        build(["0", "1"], pair.real)
+    with pytest.raises(ValueError, match="bad_labels"):
+        build(["0", "1"], pair, frozenset({"z"}))
+    with pytest.raises(ValueError, match="cap"):
+        KrausChannel((2 ** 11,), (("0", np.eye(1)),))
+
+
+def test_products_past_the_dimension_cap_are_refused_before_building():
+    with pytest.raises(ValueError, match="MAX_TOTAL_DIM=1024"):
+        tensor_independent(bit_flip(0.1), 11)
+
+
+def test_product_build_keeps_temporaries_small():
+    """Building large products holds at most a few MiB beyond the result.
+
+    The operators are built and validated one block of <= 1 MiB at a time.
+    Freed arrays of 2-32 MiB make the allocator raise its mmap threshold and
+    keep the heap they used, so a build that stacks whole channels at once
+    shows up as resident memory long after the arrays are gone.
+    """
+    mixes = ([depolarizing(0.1)] * 5, [depolarizing(0.1)] * 3 + [bit_flip(0.2)] * 3)
+    for factors in mixes:
+        tracemalloc.start()
+        try:
+            ch = tensor_channels(*factors)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept >= sum(b.nbytes for b in ch.blocks)
+        assert peak - kept <= 4 * 2 ** 20
 
 
 def test_tensor_independent_operator_cap():

@@ -4,9 +4,11 @@ import json
 import math
 import os
 
+from fractions import Fraction
+
 import pytest
 
-from qecdesk.cli import DEMO_NAMES, USAGE_EXIT, _round, main
+from qecdesk.cli import DEMO_NAMES, USAGE_EXIT, _round, build_parser, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -224,6 +226,10 @@ def test_concat_exit_codes(capsys):
     code, data = run_json(capsys, ["concat", "--p", "0.02", "--C", "100",
                                    "--levels", "3"])
     assert code == 1
+    # --p and --C parse exactly, as decimals or as fractions
+    for p, c in (("1e-3", "100"), ("1/1000", "1e2"), ("0.001", "200/2")):
+        args = build_parser().parse_args(["concat", "--p", p, "--C", c])
+        assert (args.p, args.C) == (Fraction(1, 1000), Fraction(100))
 
 
 def test_usage_errors_exit_64(capsys):
@@ -252,6 +258,10 @@ def test_usage_errors_exit_64(capsys):
         ("--seed", ["simulate", "--code", "repetition3", "--channel",
                     "bitflip p=0.1", "--trials", "5", "--seed", "-1"]),
         ("--rotations", ["noiseless", "--rotations", "2.5"]),
+        ("--p", ["concat", "--p", "nan", "--C", "100"]),
+        ("--p", ["concat", "--p", "1/0", "--C", "100"]),
+        ("--C", ["concat", "--p", "1e-3", "--C", "inf"]),
+        ("--C", ["concat", "--p", "1e-3", "--C", "-Infinity"]),
     )
     for flag, argv in negatives:
         with pytest.raises(SystemExit) as exc:
@@ -270,6 +280,23 @@ def test_usage_errors_exit_64(capsys):
         assert "--errors" in captured.err
         if code == "cyclic7":
             assert "'cyclic7'" in captured.err and "[7]" in captured.err
+    # a product past the dense dimension cap is refused before it is built
+    assert main(["simulate", "--code", "repetition3", "--channel",
+                 "independent n=11 bitflip p=0.1"]) == USAGE_EXIT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2048" in captured.err and "MAX_TOTAL_DIM=1024" in captured.err
+
+
+def test_errors_use_one_based_qubit_labels(capsys):
+    for spec in ("X0", "Z4", "X1,Y0"):
+        assert main(["check", "--code", "repetition3", "--errors", spec]) == USAGE_EXIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "qubits are numbered 1..3" in captured.err
+        assert "index" not in captured.err
+    code, data = run_json(capsys, ["check", "--code", "repetition3", "--errors", "X3"])
+    assert code == 0 and data["detectable"] is True
 
 
 def test_domain_errors_exit_64(capsys):

@@ -1,6 +1,7 @@
 """Error estimates, entanglement fidelity, Monte Carlo averages, branch bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qecdesk.channels import (
     depolarizing,
     remix_labels,
     tensor_channels,
+    tensor_independent,
 )
 from qecdesk.fidelity import (
     average_error_from_entanglement,
@@ -145,6 +147,41 @@ def test_monte_carlo_seeded_value_is_pinned():
                                     trials=2500, seed=3)
     assert est.mean == pytest.approx(0.40635340650625323, abs=1e-12)
     assert est.std_error == pytest.approx(0.0015000896893653103, abs=1e-12)
+
+
+def test_monte_carlo_matches_one_draw_per_block_oracle():
+    # on 16 x 16 operators the estimator draws 256 trials at a time and
+    # contracts whole operator blocks; the oracle draws each 1024-trial block
+    # of the stream at once and sums |<psi|A|psi>|^2 one operator at a time
+    ch = tensor_independent(bit_flip(0.2), 4)
+    trials, seed = 1500, 11
+    errs = []
+    for index, start in enumerate(range(0, trials, 1024)):
+        g = np.random.Generator(np.random.Philox(key=seed, counter=index * 2 ** 64))
+        z = g.standard_normal((min(1024, trials - start), 16, 2))
+        psi = z[..., 0] + 1j * z[..., 1]
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        fid = sum(np.abs(np.einsum("nd,de,ne->n", psi.conj(), a, psi)) ** 2 for _, a in ch.ops)
+        errs.append(1.0 - fid)
+    errs = np.concatenate(errs)
+    est = average_error_monte_carlo(ch, trials, seed=seed)
+    assert est.mean == pytest.approx(errs.mean(), abs=1e-14)
+    assert est.std_error == pytest.approx(errs.std(ddof=1) / math.sqrt(trials), abs=1e-14)
+
+
+def test_monte_carlo_keeps_temporaries_small():
+    # trials are chunked by both the operator size and the operators per
+    # block: depolarizing^3 has 125 operators of 8 x 8, and 4096 operators of
+    # 2 x 2 would make a 4096 x 1024 GEMM result (64 MiB) if only d set the chunk
+    many = KrausChannel((2,), tuple((str(i), np.eye(2) / 64.0) for i in range(4096)))
+    for ch in (tensor_independent(depolarizing(0.1), 3), many):
+        tracemalloc.start()
+        try:
+            average_error_monte_carlo(ch, trials=2048, seed=1)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept <= 3 * 2 ** 20
 
 
 def test_monte_carlo_is_deterministic():
