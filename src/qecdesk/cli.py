@@ -126,13 +126,21 @@ def _parse_input(token: str, dim: int) -> StateVector:
         return StateVector((2,), np.array([1.0, -1.0]) / math.sqrt(2.0))
     if token.isdigit() and int(token) < dim:
         return basis_state((dim,), int(token))
-    amps = np.asarray(json.loads(token), dtype=float)
+    try:
+        amps = np.asarray(json.loads(token), dtype=float)
+    except (TypeError, OverflowError, RecursionError):
+        # JSON objects, integers past float range, lists nested past the recursion limit
+        raise ValueError(f"--input needs a basis index, +, -, or a JSON list of "
+                         f"finite amplitudes or [re, im] pairs, got {token}") from None
     if not np.isfinite(amps).all():
         raise ValueError(f"--input has a non-finite amplitude: {token}")
     if amps.ndim == 2 and amps.shape[1] == 2:
         vec = amps[:, 0] + 1j * amps[:, 1]
     else:
         vec = amps.astype(complex)
+    with np.errstate(over="ignore"):
+        if not math.isfinite(np.linalg.norm(vec)):
+            raise ValueError(f"--input amplitudes overflow when normalized: {token}")
     return StateVector((dim,), vec).normalized()
 
 

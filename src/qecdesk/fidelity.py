@@ -133,11 +133,13 @@ def bad_branch_probability(ch: KrausChannel, psi: StateVector,
                            bad_labels=None) -> float:
     """Exact probability of landing in a flagged branch from a pure input."""
     bad = frozenset(bad_labels) if bad_labels is not None else ch.bad_labels
+    flagged = np.array([label in bad for label in ch.labels()])
     total = 0.0
-    for label, a in ch.ops:
-        if label in bad:
-            v = a @ psi.amplitudes
-            total += float(np.vdot(v, v).real)
+    start = 0
+    for y in ch.branch_blocks(psi.amplitudes):
+        v = y[flagged[start:start + len(y)]]
+        total += float(np.vdot(v, v).real)
+        start += len(y)
     return total
 
 

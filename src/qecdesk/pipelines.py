@@ -1,13 +1,15 @@
 """End-to-end encode / noise / decode scenarios and concatenation arithmetic.
 
-Exact runs push density matrices through the whole pipeline and enumerate
-syndrome outcomes; Monte Carlo runs sample noise branches per trial from
+Exact runs send the encoded pure state through the noise as branch vectors,
+push the resulting density matrix through decoding and enumerate syndrome
+outcomes; Monte Carlo runs sample noise branches per trial from
 counter-derived streams and must agree with the exact run within sampling
 error.  Reports serialize to a stable JSON layout.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,10 +131,9 @@ def run_exact(
     """
     psi_in = _check_logical_input(ident.logical_dim, input_state)
     psi_enc = ident.encode(psi_in)
-    rho = np.outer(psi_enc.amplitudes, psi_enc.amplitudes.conj())
     if channel.dims != tuple(ident.physical_dims):
         raise ValueError("channel dims do not match the code")
-    rho = channel.apply_matrix(rho)
+    rho = channel.apply_pure(psi_enc.amplitudes)
     sigma, fail = ident.subsystem_matrix(rho)
     dl = ident.logical_dim
     blocks = []
@@ -159,10 +160,9 @@ def run_corrected(
     psi_in = _check_logical_input(code.dim, input_state)
     cmat = code.basis_matrix()
     psi_enc = cmat @ psi_in.amplitudes
-    rho = np.outer(psi_enc, psi_enc.conj())
     if channel.dims != tuple(code.physical_dims):
         raise ValueError("channel dims do not match the code")
-    rho = channel.apply_matrix(rho)
+    rho = channel.apply_pure(psi_enc)
     blocks = []
     fail = 0.0
     for label, r in recovery.ops:
@@ -219,8 +219,7 @@ def _branch_tables(ident: SubsystemIdentification, channel: KrausChannel,
     rows.append(("fail", ""))
     qs = []
     dists = []
-    for _, a in channel.ops:
-        v = a @ psi_enc
+    for v in itertools.chain.from_iterable(channel.branch_blocks(psi_enc)):
         q = float(np.vdot(v, v).real)
         qs.append(q)
         if q <= 1e-30:

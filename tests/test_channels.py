@@ -12,6 +12,7 @@ from qecdesk.channels import (
     KrausChannel,
     MAX_KRAUS_OPS,
     PauliChannel,
+    _gram,
     bit_flip,
     channel_from_unitary,
     clifford_twirl,
@@ -324,6 +325,95 @@ def test_tensor_independent_operator_cap():
     with pytest.raises(ValueError):
         tensor_independent(depolarizing(0.5), 6)  # 5^6 > 4096
     assert len(tensor_independent(depolarizing(0.5), 5).ops) == 5 ** 5 <= MAX_KRAUS_OPS
+
+
+def test_apply_pure_matches_apply_matrix_oracle():
+    from qecdesk.analysis import synthesize_decoder, weight_le_errors
+    from qecdesk.codes import five_qubit
+
+    _, space = five_qubit()
+    _, recovery = synthesize_decoder(space, weight_le_errors(5, 1))
+    cases = {
+        "depolarizing^5": tensor_independent(depolarizing(0.1), 5),
+        "bit-flip/depolarizing mix": tensor_channels(*[bit_flip(0.2)] * 2,
+                                                     *[depolarizing(0.15)] * 3),
+        "gaussian_shift(7)": gaussian_shift(7),
+        "bit_flip^7": tensor_independent(bit_flip(0.1), 7),
+        "five-qubit recovery": recovery,
+    }
+    assert {len(b) for b in cases["bit_flip^7"].blocks} == {4}  # d = 128
+    rng = np.random.default_rng(41)
+    for name, ch in cases.items():
+        psi = rand_state(rng, ch.dim)
+        got = ch.apply_pure(psi)
+        assert np.abs(got - ch.apply_matrix(np.outer(psi, psi.conj()))).max() <= 1e-12, name
+        # the branch vectors are the operators applied to psi, in label order
+        branches = np.concatenate(list(ch.branch_blocks(psi)))
+        assert branches.shape == (len(ch.ops), ch.dim), name
+        assert np.abs(branches - np.stack([a @ psi for _, a in ch.ops])).max() <= 1e-12, name
+
+
+def test_real_view_gram_matches_complex_oracle():
+    rng = np.random.default_rng(43)
+    # random stacks laid out as a channel's blocks, several blocks and a short last one
+    for d, counts in ((2, (5,)), (16, (256, 256, 17)), (64, (16, 16, 16, 3)), (512, (1, 1))):
+        blocks = [rng.normal(size=(c, d, d)) + 1j * rng.normal(size=(c, d, d)) for c in counts]
+        want = sum(b.reshape(-1, d).conj().T @ b.reshape(-1, d) for b in blocks)
+        got = _gram(blocks, d)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (d, counts)
+    # and on stored channels, whose sum is the identity
+    for ch in (tensor_independent(depolarizing(0.1), 5),
+               tensor_channels(*[depolarizing(0.1)] * 3, *[bit_flip(0.2)] * 3),
+               rand_channel(rng, 4)):
+        want = sum(b.reshape(-1, ch.dim).conj().T @ b.reshape(-1, ch.dim) for b in ch.blocks)
+        assert np.abs(_gram(ch.blocks, ch.dim) - want).max() <= 1e-13
+
+
+def test_imaginary_trace_defect_is_refused():
+    # A = (I + 1e-6 Y)^(1/2) is Hermitian, so sum A^dag A = I + 1e-6 Y: the
+    # defect lies only in the imaginary off-diagonal entries
+    w, v = np.linalg.eigh(SIGMA["I"] + 1e-6 * SIGMA["Y"])
+    a = (v * np.sqrt(w)) @ v.conj().T
+    defect = a.conj().T @ a - SIGMA["I"]
+    assert np.abs(defect.real).max() <= 1e-15 and np.abs(defect.imag).max() > 9e-7
+    with pytest.raises(ValueError, match="trace preserving"):
+        KrausChannel((2,), (("0", a),))
+    with pytest.raises(ValueError, match="trace preserving"):
+        KrausChannel._build((2,), ["0"], lambda start, stop: a[None].copy(), frozenset())
+
+
+def test_spec_keys_are_checked():
+    for spec, words in (
+        ("depolarizing p=0.1 q=3", ("q=", "depolarizing p=<value>")),
+        ("bitflip p=0.1 p=0.2", ("p= twice", "bitflip p=<value>")),
+        ("collective vx=0 vy=0 vz=0 vx=1", ("vx= twice",)),
+        ("gaussian7 K=abc", ("K=", "'abc'", "gaussian7 K=<count>")),
+        ("gaussian7 K=2.5", ("K=", "'2.5'")),
+        ("gaussian7 p=0.1", ("p=", "gaussian7 K=<count>")),
+        ("independent n=abc bitflip p=0.1", ("n=", "'abc'", "independent n=<count> <inner spec>")),
+        ("independent n=2 bitflip p=0.1 K=3", ("K=", "bitflip p=<value>")),
+        ("wat p=1", ("'wat'", "depolarizing")),
+    ):
+        with pytest.raises(ValueError) as exc:
+            parse_channel_spec(spec)
+        for word in words:
+            assert word in str(exc.value), (spec, word)
+    assert len(parse_channel_spec("gaussian7").ops) == 41
+    assert parse_channel_spec("independent n=2 gaussian7 K=2").dims == (7, 7)
+
+
+def test_huge_spec_products_are_refused_by_arithmetic():
+    # k**n and 2K+1 are compared with the caps before any list is built; the
+    # sizes here are small enough that a missing check still fails safely
+    # (tests/test_cli.py runs n=10**9 and K=10**8 under an address-space limit)
+    with pytest.raises(ValueError, match=r"2\*\*65 operators exceed cap MAX_KRAUS_OPS"):
+        tensor_independent(bit_flip(0.1), 65)
+    unitary = collective_rotation((0.1, 0.2, 0.3))  # one operator: the dimension refuses it
+    with pytest.raises(ValueError, match=r"8\*\*65 exceeds cap MAX_TOTAL_DIM"):
+        tensor_independent(unitary, 65)
+    with pytest.raises(ValueError, match="K=2048 gives 4097 shifts, over cap MAX_KRAUS_OPS"):
+        gaussian_shift(7, 2048)
+    assert len(gaussian_shift(7, 2047).ops) == MAX_KRAUS_OPS - 1
 
 
 def test_remix_labels_is_invisible():

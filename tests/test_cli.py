@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 
 from fractions import Fraction
 
@@ -11,6 +14,7 @@ import pytest
 from qecdesk.cli import DEMO_NAMES, USAGE_EXIT, _round, build_parser, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
+SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def run(capsys, argv):
@@ -353,6 +357,32 @@ def test_missing_channel_key_names_key_and_grammar(capsys):
     err = capsys.readouterr().err
     assert "collective needs vy=<value>" in err
     assert "collective vx=<value> vy=<value> vz=<value>" in err
+    # unknown and repeated keys, and counts that are not whole numbers
+    for spec, word in (("depolarizing p=0.1 q=3", "q="), ("bitflip p=0.1 p=0.2", "p= twice"),
+                       ("gaussian7 K=abc", "K="), ("gaussian7 K=2.5", "K="),
+                       ("independent n=abc bitflip p=0.1", "n=")):
+        assert main(["twirl", "--channel", spec]) == USAGE_EXIT, spec
+        captured = capsys.readouterr()
+        assert captured.out == "" and word in captured.err and "grammar:" in captured.err, spec
+
+
+def test_huge_spec_products_are_refused_before_allocation():
+    """Under a 2 GB address-space limit the refusal comes before any list is built."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
+
+    for argv, cap in (
+        (["simulate", "--code", "repetition3", "--channel",
+          "independent n=1000000000 bitflip p=0.1"], "MAX_KRAUS_OPS"),
+        (["twirl", "--channel", "gaussian7 K=100000000"], "MAX_KRAUS_OPS"),
+    ):
+        done = subprocess.run([sys.executable, "-m", "qecdesk.cli", *argv], env=env,
+                              preexec_fn=limit, capture_output=True, text=True, timeout=60)
+        assert done.returncode == USAGE_EXIT, (argv, done.stderr)
+        assert done.stdout == "" and cap in done.stderr and "Traceback" not in done.stderr
 
 
 def test_check_rejects_bad_code_file(capsys, tmp_path):
