@@ -53,6 +53,7 @@ from .analysis import (
     commutant,
     correctable_classical,
     correctable_quantum,
+    decoder_identification,
     detectable_classical,
     detectable_quantum,
     min_distance_quantum,

@@ -4,7 +4,7 @@ The quantum tests run on the code basis C (projector P = C C^dag): E is
 detectable exactly when C^dag E C = lambda I, i.e. PEP = lambda P, and {E_i}
 is correctable exactly when C^dag E_i^dag E_j C = lambda_ij I for every pair
 (Knill-Laflamme).  One Gram matrix of the blocks E_i C decides both, and its
-lambda matrix factors into a syndrome decomposition and a recovery channel.
+lambda matrix factors into a syndrome decomposition, which is the decoder.
 """
 
 from __future__ import annotations
@@ -187,17 +187,16 @@ def correctable_quantum(code: CodeSubspace, errors,
     return CorrectVerdict(ok, labels, lam, rank, residual, blocks)
 
 
-def synthesize_decoder(code: CodeSubspace, errors) -> tuple[SubsystemIdentification, KrausChannel]:
-    """Turn a correctable error set into a syndrome decomposition and recovery.
+def decoder_identification(code: CodeSubspace,
+                           verdict: CorrectVerdict) -> SubsystemIdentification:
+    """The syndrome decomposition of a correctable error set on this code.
 
     Diagonalizing the Gram matrix Lambda = V D V^dag and rescaling by
     D^(-1/2) yields operators D_k whose images of the code are orthogonal
-    syndrome blocks; W maps |k>|psi_m> to D_k applied to the m-th code vector.
-    Recovery measures the block and maps it back onto the code.  Error
-    directions with zero eigenvalue never occur on code states and are
-    dropped.
+    syndrome blocks W_k = D_k C; W maps |k>|psi_m> to D_k applied to the m-th
+    code vector, from the verdict's blocks E_i C.  Error directions with zero
+    eigenvalue never occur on code states and are dropped.
     """
-    verdict = correctable_quantum(code, errors)
     if not verdict.correctable:
         raise ValueError("error set is not correctable on this code")
     lam = (verdict.lambda_matrix + verdict.lambda_matrix.conj().T) / 2.0
@@ -208,8 +207,8 @@ def synthesize_decoder(code: CodeSubspace, errors) -> tuple[SubsystemIdentificat
     vecs_k = vecs[:, keep][:, order]
     # fix each eigenvector's phase (largest entry real and positive).  Only the
     # phases are pinned: inside a degenerate eigenspace the basis eigh picks,
-    # and so each recovery branch, can turn under a rounding-level change in
-    # Lambda, while the recovery channel as a whole stays the same.
+    # and so each syndrome block, can turn under a rounding-level change in
+    # Lambda, while the decoder as a whole stays the same.
     for c in range(vecs_k.shape[1]):
         idx = int(np.argmax(np.abs(vecs_k[:, c])))
         z = vecs_k[idx, c]
@@ -221,25 +220,32 @@ def synthesize_decoder(code: CodeSubspace, errors) -> tuple[SubsystemIdentificat
     if np.abs(w.conj().T @ w - np.eye(s * dl)).max() > ATOL_EIG:
         raise RuntimeError("synthesized syndrome blocks are not orthonormal")
     iso = LinearOperator((s, dl), code.physical_dims, w)
-    ident = SubsystemIdentification(code.physical_dims, s, dl, iso, syndrome_base=0,
-                                    syndrome_labels=tuple(str(k) for k in range(s)))
+    return SubsystemIdentification(code.physical_dims, s, dl, iso, syndrome_base=0,
+                                   syndrome_labels=tuple(str(k) for k in range(s)))
+
+
+def synthesize_decoder(code: CodeSubspace, errors) -> tuple[SubsystemIdentification, KrausChannel]:
+    """decoder_identification plus its dense recovery channel, the reference
+    it is checked against: R_k = C W_k^dag, and R_fail = I - W W^dag when the
+    blocks do not fill the space."""
+    ident = decoder_identification(code, correctable_quantum(code, errors))
+    w = ident.isometry.matrix
+    s, dl, d = ident.syndrome_dim, ident.logical_dim, code.physical_dim
     cmat = code.basis_matrix()
-    d = code.physical_dim
-    complement = np.eye(d, dtype=complex) - w @ w.conj().T
     labels = [str(k) for k in range(s)]
     bad: frozenset[str] = frozenset()
-    if np.abs(complement).max() > ATOL_EIG:
+    if not ident.is_complete():
         labels.append("fail")
         bad = frozenset({"fail"})
-    adjoints = w.reshape(d, s, dl).conj().transpose(1, 2, 0)  # [k] = (D_k C)^dag
+    adjoints = w.reshape(d, s, dl).conj().transpose(1, 2, 0)  # [k] = W_k^dag
 
     def recovery_ops(start, stop):
-        # R_k = C (D_k C)^dag, computed straight into the channel's block
+        # R_k = C W_k^dag, computed straight into the channel's block
         out = np.empty((stop - start, d, d), dtype=complex)
         k = min(stop, s)
         np.matmul(cmat, adjoints[start:k], out=out[:k - start])
         if stop > s:
-            out[-1] = complement
+            out[-1] = np.eye(d) - w @ w.conj().T
         return out
 
     recovery = KrausChannel._build(code.physical_dims, labels, recovery_ops, bad)

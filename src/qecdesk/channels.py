@@ -38,6 +38,9 @@ from .hilbert import (
 )
 
 MAX_KRAUS_OPS = 4096
+# bytes of the operators of one product channel, refused before allocation:
+# the operator and dimension caps alone admit 1,024 operators of 1,024 x 1,024
+MAX_KRAUS_BYTES = 2 ** 30
 
 # complex entries per stacked operator block and per temporary that walks one:
 # freed arrays of several MiB make glibc raise its mmap threshold and keep the
@@ -335,7 +338,11 @@ def tensor_channels(*channels: KrausChannel) -> KrausChannel:
     count = math.prod(shape)
     if count > MAX_KRAUS_OPS:
         raise ValueError(f"{count} operators exceed cap MAX_KRAUS_OPS={MAX_KRAUS_OPS}")
-    dims = sum((ch.dims for ch in channels), ())
+    dims = _check_dims(sum((ch.dims for ch in channels), ()))
+    d = math.prod(dims)
+    if count * d * d * 16 > MAX_KRAUS_BYTES:
+        raise ValueError(f"{count} operators of dimension {d} take {count * d * d * 16} bytes, "
+                         f"over cap MAX_KRAUS_BYTES={MAX_KRAUS_BYTES}")
     names = [ch.labels() for ch in channels]
     sep = "" if all(len(l) == 1 for ls in names for l in ls) else ","
     labels = [sep.join(combo) for combo in itertools.product(*names)]

@@ -90,7 +90,7 @@ def _parse_errors(spec: str, definition: codes.CodeDefinition):
         token = token.strip()
         if token == "I":
             out.append(("I", identity_word(n)))
-        elif len(token) >= 2 and token[0] in "XYZ" and token[1:].isdigit():
+        elif len(token) >= 2 and token[0] in "XYZ" and token[1:].isdecimal():
             q = int(token[1:])
             if not 1 <= q <= n:
                 raise ValueError(f"--errors {token}: qubits are numbered 1..{n}")
@@ -165,11 +165,11 @@ def cmd_check(args) -> int:
     payload = {"code": definition.name, "errors": list(verdict.labels),
                **verdict.to_json()}
     if verdict.correctable:
-        ident, recovery = analysis.synthesize_decoder(definition.subspace, errors)
+        ident = analysis.decoder_identification(definition.subspace, verdict)
         payload["decoder"] = {
             "syndrome_dim": ident.syndrome_dim,
             "logical_dim": ident.logical_dim,
-            "recovery_ops": len(recovery.ops),
+            "recovery_ops": ident.syndrome_dim + (not ident.is_complete()),
         }
     _emit(payload, args)
     return 0 if verdict.correctable else 1
@@ -215,12 +215,13 @@ def cmd_simulate(args) -> int:
     else:
         n = len(definition.subspace.physical_dims)
         errors = analysis.weight_le_errors(n, 1)
-        _, recovery = analysis.synthesize_decoder(definition.subspace, errors)
+        verdict = analysis.correctable_quantum(definition.subspace, errors)
+        decoder = analysis.decoder_identification(definition.subspace, verdict)
         state = _parse_input(args.input, definition.subspace.dim)
         if args.trials:
             raise ValueError(f"code {definition.name!r} supports exact simulation only")
         report = pipelines.run_corrected(
-            definition.subspace, recovery, channel, state,
+            definition.subspace, decoder, channel, state,
             scenario=definition.name, input_desc=_input_desc(args.input))
     _emit(report.to_json(ndigits=10), args)
     return 2 if report.metrics.get("fail", 0.0) > args.fail_threshold else 0
@@ -328,9 +329,9 @@ def cmd_demo(args) -> int:
         stab, space = codes.five_qubit()
         errors = analysis.weight_le_errors(5, 1)
         verdict = analysis.correctable_quantum(space, errors)
-        _, recovery = analysis.synthesize_decoder(space, errors)
+        decoder = analysis.decoder_identification(space, verdict)
         noisy = channels.tensor_independent(channels.depolarizing(0.1), 5)
-        report = pipelines.run_corrected(space, recovery, noisy, pipelines.PLUS,
+        report = pipelines.run_corrected(space, decoder, noisy, pipelines.PLUS,
                                          scenario="five-qubit",
                                          input_desc="(|0>+|1>)/sqrt2")
         payload = report.to_json(ndigits=10)

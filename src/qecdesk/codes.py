@@ -22,6 +22,7 @@ from .hilbert import (
     DensityOperator,
     LinearOperator,
     StateVector,
+    from_json_array,
 )
 
 
@@ -48,7 +49,8 @@ class CodeSubspace:
         v = np.column_stack([b.amplitudes for b in basis])
         if any(b.dims != dims for b in basis):
             raise ValueError("basis vectors disagree on physical dims")
-        if np.abs(v.conj().T @ v - np.eye(len(basis))).max() > ATOL_ALGEBRA:
+        # written so that a NaN Gram matrix fails too
+        if not np.abs(v.conj().T @ v - np.eye(len(basis))).max() <= ATOL_ALGEBRA:
             raise ValueError("code basis is not orthonormal")
         object.__setattr__(self, "physical_dims", dims)
         object.__setattr__(self, "basis", basis)
@@ -403,9 +405,17 @@ def parse_code_text(text: str, name: str = "inline") -> CodeDefinition:
     if not body:
         raise ValueError("'basis:' block has no vectors")
     vecs = []
-    for line in body:
-        amps = np.asarray(json.loads(line), dtype=float)
-        vecs.append(amps[:, 0] + 1j * amps[:, 1])
+    for i, line in enumerate(body, 1):
+        try:
+            vec = from_json_array(json.loads(line))
+            if vec.ndim != 1 or len(vec) < 2 or (vecs and len(vec) != len(vecs[0])):
+                raise ValueError("expected one list of at least two [re, im] pairs "
+                                 "per vector, all of the same length")
+            if np.abs(vec).max() > 1.0 + ATOL_ALGEBRA:
+                raise ValueError("an amplitude of a unit vector has modulus at most 1")
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"basis vector {i} ({line[:40]!r}): {exc}") from None
+        vecs.append(vec)
     dims = _infer_dims(len(vecs[0]))
     basis = tuple(StateVector(dims, v) for v in vecs)
     return CodeDefinition(name, CodeSubspace(dims, basis))

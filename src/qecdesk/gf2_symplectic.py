@@ -284,7 +284,7 @@ def _pauli_words(n: int, max_weight: int, alphabet: str = "XYZ"):
     letters = sorted(set(alphabet))
     if any(c not in "XYZ" for c in letters) or not letters:
         raise ValueError(f"alphabet must be a nonempty subset of XYZ, got {alphabet!r}")
-    for w in range(1, max_weight + 1):
+    for w in range(1, min(max_weight, n) + 1):
         for support in itertools.combinations(range(n), w):
             for choice in itertools.product(letters, repeat=w):
                 a = b = 0

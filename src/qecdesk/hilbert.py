@@ -271,7 +271,19 @@ def to_json_array(a: np.ndarray) -> list:
 
 
 def from_json_array(data) -> np.ndarray:
-    a = np.asarray(data, dtype=float)
-    if a.shape[-1] != 2:
-        raise ValueError("expected [re, im] leaves")
+    """Inverse of to_json_array: nested lists of finite [re, im] number pairs.
+
+    Anything else (ragged lists, strings, objects, integers past
+    float range, NaN or Infinity) raises ValueError.
+    """
+    bad = "expected nested lists of [re, im] number pairs"
+    try:
+        a = np.asarray(data)
+    except ValueError:  # ragged nesting
+        raise ValueError(bad) from None
+    if a.dtype.kind not in "iuf" or a.ndim == 0 or a.shape[-1] != 2:
+        raise ValueError(bad)
+    a = a.astype(float)
+    if not np.isfinite(a).all():
+        raise ValueError("amplitudes must be finite")
     return a[..., 0] + 1j * a[..., 1]

@@ -1,10 +1,12 @@
 """End-to-end encode / noise / decode scenarios and concatenation arithmetic.
 
-Exact runs send the encoded pure state through the noise as branch vectors,
-push the resulting density matrix through decoding and enumerate syndrome
-outcomes; Monte Carlo runs sample noise branches per trial from
-counter-derived streams and must agree with the exact run within sampling
-error.  Reports serialize to a stable JSON layout.
+Every exact run has one core: a decoder is an isometry W from syndrome (x)
+logical into the physical space, the encoded pure state goes through the
+noise as branch vectors, and the syndrome blocks of W^dag rho W give the
+outcome table.  run_exact encodes by the identification, run_corrected as
+C psi in a code subspace.  Monte Carlo runs sample noise branches per trial
+from counter-derived streams and must agree with the exact run within
+sampling error.  Reports serialize to a stable JSON layout.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .channels import (
     gaussian_shift_probabilities,
 )
 from .codes import CodeSubspace, SubsystemIdentification, cyclic7
-from .hilbert import ATOL_ALGEBRA, StateVector
+from .hilbert import ATOL_ALGEBRA, LinearOperator, StateVector
 
 # Reference threshold estimates for fault-tolerant operation, quoted from the
 # survey literature for orientation only; nothing in this package derives them.
@@ -85,28 +87,33 @@ def _check_logical_input(ident_dim: int, state: StateVector) -> StateVector:
     return state
 
 
-def _outcome_table(psi_in: StateVector, blocks, fail: float, fail_row: bool,
-                   scenario: str, input_desc: str) -> PipelineReport:
-    """Report from (label, probability, logical block) triples plus fail mass.
+def _run(ident: SubsystemIdentification, channel: KrausChannel, psi_in: StateVector,
+         psi_enc: np.ndarray, scenario: str, input_desc: str) -> PipelineReport:
+    """The encode/noise/decode core: psi_enc through the noise, then the
+    syndrome blocks of W^dag rho W.
 
-    Each block gives an "ok" row (overlap with the input, clamped to [0, p])
-    and an "err" row (the rest); fail_row adds a single "fail" row.
-    logical_rho is the sum of the blocks, normalized when it has weight.
+    Each syndrome gives an "ok" row (the block's overlap with the input,
+    clamped to [0, p]) and an "err" row (the rest); a partial W adds one
+    "fail" row, tr((I - W W^dag) rho).  logical_rho is the sum of the blocks
+    normalized by their weight: the logical state given acceptance.
     """
-    psi = psi_in.amplitudes
+    if channel.dims != tuple(ident.physical_dims):
+        raise ValueError("channel dims do not match the code")
+    sigma, fail = ident.subsystem_matrix(channel.apply_pure(psi_enc))
+    psi, dl = psi_in.amplitudes, ident.logical_dim
     rows = []
-    logical = np.zeros((psi.size, psi.size), dtype=complex)
-    success = 0.0
-    error = 0.0
-    for label, p, block in blocks:
-        p_ok = float(np.real(np.vdot(psi, block @ psi)))
-        p_ok = min(max(p_ok, 0.0), p)
-        rows.append((label, "ok", p_ok))
-        rows.append((label, "err", p - p_ok))
+    logical = np.zeros((dl, dl), dtype=complex)
+    success = error = 0.0
+    for s in range(ident.syndrome_dim):
+        block = sigma[s * dl:(s + 1) * dl, s * dl:(s + 1) * dl]
+        p = float(np.trace(block).real)
+        p_ok = min(max(float(np.real(np.vdot(psi, block @ psi))), 0.0), p)
+        label = ident.syndrome_label(s)
+        rows += [(label, "ok", p_ok), (label, "err", p - p_ok)]
         logical += block
         success += p_ok
         error += p - p_ok
-    if fail_row:
+    if not ident.is_complete():
         rows.append(("fail", "", fail))
     accepted = float(np.trace(logical).real)
     if accepted > ATOL_ALGEBRA:
@@ -122,58 +129,41 @@ def run_exact(
     scenario: str = "exact",
     input_desc: str = "",
 ) -> PipelineReport:
-    """Encode, apply noise, decode by the identification, enumerate outcomes.
-
-    Each syndrome value contributes an "ok" row (decoded logical state agrees
-    with the input) and an "err" row (orthogonal remainder); mass outside a
-    partial identification appears as a single "fail" row.  logical_rho is
-    the decoded logical state conditioned on acceptance.
-    """
+    """Encode by the identification (syndrome in its base value), apply
+    noise, decode by the identification, enumerate outcomes."""
     psi_in = _check_logical_input(ident.logical_dim, input_state)
-    psi_enc = ident.encode(psi_in)
-    if channel.dims != tuple(ident.physical_dims):
-        raise ValueError("channel dims do not match the code")
-    rho = channel.apply_pure(psi_enc.amplitudes)
-    sigma, fail = ident.subsystem_matrix(rho)
-    dl = ident.logical_dim
-    blocks = []
-    for s in range(ident.syndrome_dim):
-        block = sigma[s * dl:(s + 1) * dl, s * dl:(s + 1) * dl]
-        blocks.append((ident.syndrome_label(s), float(np.trace(block).real), block))
-    return _outcome_table(psi_in, blocks, fail, not ident.is_complete(),
-                          scenario, input_desc)
+    return _run(ident, channel, psi_in, ident.encode(psi_in).amplitudes,
+                scenario, input_desc)
 
 
 def run_corrected(
     code: CodeSubspace,
-    recovery: KrausChannel,
+    decoder: SubsystemIdentification | KrausChannel,
     channel: KrausChannel,
     input_state: StateVector,
     scenario: str = "corrected",
     input_desc: str = "",
 ) -> PipelineReport:
-    """Encode in a code subspace, apply noise, run a recovery channel, decode.
+    """Encode as C psi in a code subspace, apply noise, decode.
 
-    Outcome rows are labeled by the recovery branch; branches flagged bad by
-    the recovery (non-correctable residue) report as "fail".
+    The decoder is an identification of the code (decoder_identification) or
+    a recovery channel whose good branches R_k map back into the code, read
+    as W_k = R_k^dag C: then W_k^dag rho W_k = C^dag R_k rho R_k^dag C, and
+    the isometry check refuses branches that leave the code.  The bad
+    branches' mass, outside every W_k, reports as "fail".
     """
     psi_in = _check_logical_input(code.dim, input_state)
-    cmat = code.basis_matrix()
-    psi_enc = cmat @ psi_in.amplitudes
-    if channel.dims != tuple(code.physical_dims):
-        raise ValueError("channel dims do not match the code")
-    rho = channel.apply_pure(psi_enc)
-    blocks = []
-    fail = 0.0
-    for label, r in recovery.ops:
-        branch = r @ rho @ r.conj().T
-        p_r = float(np.trace(branch).real)
-        if label in recovery.bad_labels:
-            fail += p_r
-        else:
-            blocks.append((label, p_r, cmat.conj().T @ branch @ cmat))
-    return _outcome_table(psi_in, blocks, fail, bool(recovery.bad_labels),
-                          scenario, input_desc)
+    if isinstance(decoder, KrausChannel):
+        good = [(l, r) for l, r in decoder.ops if l not in decoder.bad_labels]
+        w = np.hstack([r.conj().T @ code.basis_matrix() for _, r in good])
+        decoder = SubsystemIdentification(
+            code.physical_dims, len(good), code.dim,
+            LinearOperator((len(good), code.dim), code.physical_dims, w),
+            syndrome_labels=tuple(l for l, _ in good))
+    if decoder.logical_dim != code.dim or tuple(decoder.physical_dims) != code.physical_dims:
+        raise ValueError("decoder does not match the code")
+    return _run(decoder, channel, psi_in, code.basis_matrix() @ psi_in.amplitudes,
+                scenario, input_desc)
 
 
 def run_cyclic(

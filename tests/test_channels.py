@@ -301,6 +301,16 @@ def test_products_past_the_dimension_cap_are_refused_before_building():
         tensor_independent(bit_flip(0.1), 11)
 
 
+def test_product_bytes_are_capped(monkeypatch):
+    # with the cap at 1 MiB: 32 operators of 32 x 32 (512 KiB) pass, 64 of
+    # 64 x 64 (4 MiB) are refused by arithmetic, naming the bytes and the cap
+    monkeypatch.setattr("qecdesk.channels.MAX_KRAUS_BYTES", 2 ** 20)
+    assert len(tensor_independent(bit_flip(0.1), 5).ops) == 32
+    with pytest.raises(ValueError, match="64 operators of dimension 64 take 4194304 bytes, "
+                                         "over cap MAX_KRAUS_BYTES=1048576"):
+        tensor_independent(bit_flip(0.1), 6)
+
+
 def test_product_build_keeps_temporaries_small():
     """Building large products holds at most a few MiB beyond the result.
 

@@ -301,6 +301,9 @@ def test_errors_use_one_based_qubit_labels(capsys):
         assert "index" not in captured.err
     code, data = run_json(capsys, ["check", "--code", "repetition3", "--errors", "X3"])
     assert code == 0 and data["detectable"] is True
+    # a superscript is a digit but not a decimal: the token is a bad word
+    assert main(["check", "--code", "repetition3", "--errors", "X\u00b2"]) == USAGE_EXIT
+    assert "bad Pauli word" in capsys.readouterr().err
 
 
 def test_domain_errors_exit_64(capsys):
@@ -377,6 +380,9 @@ def test_huge_spec_products_are_refused_before_allocation():
     for argv, cap in (
         (["simulate", "--code", "repetition3", "--channel",
           "independent n=1000000000 bitflip p=0.1"], "MAX_KRAUS_OPS"),
+        # 1,024 operators of 1,024 x 1,024 pass both counts but are 16 GiB
+        (["simulate", "--code", "repetition3", "--channel",
+          "independent n=10 bitflip p=0.1"], "MAX_KRAUS_BYTES=1073741824"),
         (["twirl", "--channel", "gaussian7 K=100000000"], "MAX_KRAUS_OPS"),
     ):
         done = subprocess.run([sys.executable, "-m", "qecdesk.cli", *argv], env=env,
@@ -390,6 +396,55 @@ def test_check_rejects_bad_code_file(capsys, tmp_path):
     path.write_text("basis:\nnot json at all\n")
     assert main(["check", "--code", str(path), "--errors", "Z1"]) == USAGE_EXIT
     capsys.readouterr()
+
+
+def test_bad_code_file_amplitudes_name_the_vector(capsys, tmp_path):
+    # a bare pair, a JSON object and an amplitude past float range: before,
+    # an IndexError and a TypeError traceback, and NaN reaching the JSON
+    # output; a single amplitude gave "invalid subsystem dimensions ()"
+    path = tmp_path / "bad.txt"
+    for line, why in (("[1, 0]", "list of at least two [re, im] pairs"),
+                      ("[[1, 0]]", "list of at least two [re, im] pairs"),
+                      ('{"a": 1}', "[re, im] number pairs"),
+                      ("[[1e400,0],[0,0]]", "finite")):
+        path.write_text(f"basis:\n[[0,0],[1,0]]\n{line}\n")
+        assert main(["check", "--code", str(path), "--errors", "I"]) == USAGE_EXIT, line
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "basis vector 2" in captured.err and line in captured.err and why in captured.err
+
+
+def test_cli_builds_no_recovery_channel(capsys, monkeypatch):
+    """check, simulate and the five-qubit demo decode with the isometry alone,
+    and check runs the Knill-Laflamme kernel once."""
+    import qecdesk.analysis
+
+    def refuse(*args):
+        raise AssertionError("synthesize_decoder called")
+
+    kernel = qecdesk.analysis._kl_kernel
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(qecdesk.analysis, "synthesize_decoder", refuse)
+    monkeypatch.setattr(qecdesk.analysis, "_kl_kernel", counted)
+    code, data = run_json(capsys, ["check", "--code", "fivequbit", "--errors", "weight1"])
+    assert code == 0
+    assert data["decoder"] == {"syndrome_dim": 16, "logical_dim": 2, "recovery_ops": 16}
+    assert len(calls) == 1
+    # three syndrome blocks of two fill 6 of 32 dimensions: a fourth operator
+    # takes the rest of the space
+    code, data = run_json(capsys, ["check", "--code", "fivequbit", "--errors", "I,Z1,Z2"])
+    assert data["decoder"] == {"syndrome_dim": 3, "logical_dim": 2, "recovery_ops": 4}
+    assert len(calls) == 2
+    code, data = run_json(capsys, ["simulate", "--code", "fivequbit", "--channel",
+                                   "independent n=5 bitflip p=0.2", "--input", "1"])
+    assert code == 0 and len(calls) == 3
+    code, _ = run(capsys, ["demo", "five-qubit"])
+    assert code == 0 and len(calls) == 4
 
 
 def test_out_writes_file(capsys, tmp_path):

@@ -6,10 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import rand_state
+from conftest import rand_state, rand_unitary
 from qecdesk.analysis import synthesize_decoder, weight_le_errors
 from qecdesk.channels import (
+    KrausChannel,
     bit_flip,
+    collective_rotation,
+    collective_spin,
     depolarizing,
     gaussian_shift_probabilities,
     identity_channel,
@@ -17,12 +20,16 @@ from qecdesk.channels import (
     tensor_independent,
 )
 from qecdesk.codes import (
+    CodeSubspace,
     builtin_code,
     cyclic7,
+    five_qubit,
     repetition_quantum,
+    stabilizer_codespace,
     syndrome_reset,
+    three_spin_noiseless,
 )
-from qecdesk.gf2_symplectic import PauliProduct, identity_word
+from qecdesk.gf2_symplectic import PauliProduct, StabilizerGeneratorSet, identity_word
 from qecdesk.hilbert import DensityOperator, StateVector, basis_state
 from qecdesk.pipelines import (
     REPORTED_THRESHOLDS,
@@ -208,6 +215,100 @@ def test_run_corrected_against_coset_oracle():
     assert report.metrics["success"] == pytest.approx(expected, abs=1e-9)
     assert report.metrics["fail"] == pytest.approx(0.0, abs=1e-12)
     assert math.fsum(p_ for _, _, p_ in report.outcomes) == pytest.approx(1.0, abs=1e-9)
+
+
+def dense_corrected_oracle(code, recovery, channel, psi):
+    """The dense recovery path: rho through every noise operator, then
+    r rho r^dag for each recovery operator r and C^dag (.) C on the good
+    branches; the bad branches' mass is the fail row."""
+    cmat = code.basis_matrix()
+    enc = cmat @ psi
+    rho = channel.apply_matrix(np.outer(enc, enc.conj()))
+    rows = {}
+    logical = np.zeros((code.dim, code.dim), dtype=complex)
+    fail = 0.0
+    for label, r in recovery.ops:
+        branch = r @ rho @ r.conj().T
+        p = float(np.trace(branch).real)
+        if label in recovery.bad_labels:
+            fail += p
+            continue
+        block = cmat.conj().T @ branch @ cmat
+        p_ok = min(max(float(np.vdot(psi, block @ psi).real), 0.0), p)
+        rows[(label, "ok")] = p_ok
+        rows[(label, "err")] = p - p_ok
+        logical += block
+    if recovery.bad_labels:
+        rows[("fail", "")] = fail
+    return rows, logical / np.trace(logical).real
+
+
+STEANE = ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"]
+
+
+def oracle_case(name):
+    """(code, errors, noise, syndromes, complete) for each cross-checked case.
+
+    On a real code with Pauli errors, R_k^T C spans the same syndrome blocks
+    as R_k^dag C, so the bit-flip five-qubit case turns the code and its
+    errors by a Haar-random unitary V (C -> V C, E -> V E V^dag).
+    """
+    five = five_qubit()[1]
+    if name == "five/depolarizing^5":
+        return five, weight_le_errors(5, 1), tensor_independent(depolarizing(0.1), 5), 16, True
+    if name == "five/bitflip^5":
+        return five, weight_le_errors(5, 1), tensor_independent(bit_flip(0.2), 5), 16, True
+    if name == "five-turned/bitflip^5":
+        v = rand_unitary(np.random.default_rng(54), 32)
+        turned = CodeSubspace(five.physical_dims, tuple(
+            StateVector(five.physical_dims, c) for c in (v @ five.basis_matrix()).T))
+        errors = [(label, v @ e @ v.conj().T) for label, e in weight_le_errors(5, 1)]
+        return turned, errors, tensor_independent(bit_flip(0.2), 5), 16, True
+    if name == "steane/bitflip^7":
+        steane = stabilizer_codespace(StabilizerGeneratorSet.from_strings(STEANE))
+        return steane, weight_le_errors(7, 1), tensor_independent(bit_flip(0.1), 7), 22, False
+    spins = [("I", np.eye(8))] + [(f"2J{u}", 2 * collective_spin(u).matrix) for u in "XYZ"]
+    rot = collective_rotation((0.3, -0.7, 1.1)).operator("rot")
+    kick = np.kron(np.array([[0, 1], [1, 0]]), np.eye(4))
+    noise = KrausChannel((2, 2, 2), (("rot", math.sqrt(0.8) * rot), ("x1", math.sqrt(0.2) * kick)))
+    return three_spin_noiseless().code_subspace(), spins, noise, 2, False
+
+
+@pytest.mark.parametrize("name", ["five/depolarizing^5", "five/bitflip^5",
+                                  "five-turned/bitflip^5",
+                                  "steane/bitflip^7", "threespin/spins"])
+def test_run_corrected_matches_dense_recovery_oracle(name):
+    """The isometry path, given the decoder or its recovery channel, agrees
+    row by row with r rho r^dag over the recovery operators."""
+    code, errors, noise, syndromes, complete = oracle_case(name)
+    ident, recovery = synthesize_decoder(code, errors)
+    assert ident.syndrome_dim == syndromes and ident.is_complete() == complete
+    assert recovery.bad_labels == (frozenset() if complete else frozenset({"fail"}))
+    rng = np.random.default_rng(53)
+    for _ in range(2):
+        psi = rand_state(rng, 2)
+        rows, logical = dense_corrected_oracle(code, recovery, noise, psi)
+        assert len(rows) == 2 * syndromes + (not complete)
+        for decoder in (ident, recovery):
+            report = run_corrected(code, decoder, noise, StateVector((2,), psi))
+            assert [(s, l) for s, l, _ in report.outcomes] == list(rows)
+            for s, l, p in report.outcomes:
+                assert abs(p - rows[(s, l)]) <= 1e-12, (name, s, l)
+            assert np.abs(report.logical_rho - logical).max() <= 1e-12
+            assert report.metrics["fail"] == pytest.approx(rows.get(("fail", ""), 0.0),
+                                                           abs=1e-12)
+
+
+def test_run_corrected_refuses_decoders_that_do_not_fit_the_code():
+    code = five_qubit()[1]
+    half = math.sqrt(0.5) * np.eye(32, dtype=complex)
+    split = KrausChannel((2,) * 5, (("a", half), ("b", half)))
+    noise = tensor_independent(bit_flip(0.1), 5)
+    with pytest.raises(ValueError, match="not an isometry"):
+        run_corrected(code, split, noise, PLUS)
+    three = three_spin_noiseless()
+    with pytest.raises(ValueError, match="decoder does not match the code"):
+        run_corrected(code, three, noise, PLUS)
 
 
 def test_reset_between_rounds_beats_no_reset():

@@ -6,19 +6,20 @@ problem; any other exception would end in a traceback, so it is a bug.
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qecdesk.channels import parse_channel_spec
-from qecdesk.cli import _parse_input
+from qecdesk.cli import _parse_errors, _parse_input
+from qecdesk.codes import builtin_code, parse_code_text
 
 KINDS = ("depolarizing", "bitflip", "gaussian7", "collective", "independent")
 KEYS = ("p", "K", "n", "vx", "vy", "vz", "q", "")
-# small counts and specs of at most 5 tokens: both caps admit products such as
-# "independent n=3 independent n=3 bitflip p=0.1" (6 tokens, 512 operators of
-# 512 x 512, 2 GiB), which a property run must not try to build; 65 is past
-# every cap, so a count check that regressed still fails without allocating
+# small counts and specs of at most 5 tokens: the caps admit products of up to
+# MAX_KRAUS_BYTES (1 GiB), which a property run must not try to build; 65 is
+# past every cap, so a count check that regressed still fails without allocating
 VALUES = ("0", "0.1", "0.5", "1", "2", "3", "-1", "1.5", "1e3", "nan", "inf", "abc", "",
           "1e400", "65", "0x10", "=")
 
@@ -66,3 +67,60 @@ json_values = st.recursive(
 @example(text="[" * 100000)  # nested past the recursion limit
 def test_input_token_returns_or_raises_value_error(dim, text):
     returns_or_refuses(_parse_input, text, dim)
+
+
+# code files of at most 6 qubits: Pauli-word lines (Z-type words always
+# commute, so some files build a codespace) or JSON amplitude lines
+pauli_line = st.builds("{}{}".format, st.sampled_from(["", "+", "-", "i", "-i"]),
+                       st.one_of(st.text(alphabet="IZ", min_size=1, max_size=6),
+                                 st.text(alphabet="IXYZ", min_size=1, max_size=6)))
+amplitude = st.one_of(st.floats(), st.integers(-2, 2), st.sampled_from([0.0, 1.0, 0.5 ** 0.5]))
+amplitude_line = st.one_of(
+    st.lists(st.lists(amplitude, min_size=2, max_size=2), min_size=1, max_size=8),
+    st.lists(amplitude, max_size=4),
+    json_values,
+).map(json.dumps)
+code_text = st.builds(
+    "{}{}".format,
+    st.sampled_from(["", "stabilizer:\n", "basis:\n", "wat:\n", "# comment\n"]),
+    st.lists(st.one_of(pauli_line, amplitude_line), min_size=0, max_size=6).map("\n".join),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(code_text, st.text()))
+@example("basis:\n[1, 0]")  # was an IndexError
+@example('basis:\n{"a": 1}')  # was a TypeError
+@example("basis:\n[[1e400,0],[0,0]]")  # was NaN in the JSON output
+@example("basis:\n[[1e200,0],[1e200,0]]\n[[1e200,0],[-1e200,0]]")  # Gram overflows to NaN
+@example("basis:\n[[" + "9" * 400 + ", 0]]")  # an integer past float range
+@example("basis:\n" + "[" * 100000)  # nested past the recursion limit
+def test_code_text_returns_or_raises_value_error(text):
+    try:
+        code = parse_code_text(text)
+    except ValueError:
+        return
+    assert np.isfinite(code.subspace.basis_matrix()).all()
+
+
+CODES = {name: builtin_code(name)
+         for name in ("repetition3", "threespin", "fivequbit", "trivial2", "cyclic7")}
+error_token = st.one_of(
+    st.builds("{}{}".format, st.sampled_from("IXYZW"), st.integers(-1, 7).map(str)),
+    pauli_line,
+    st.text(max_size=4),
+)
+error_spec = st.one_of(
+    st.sampled_from(["weight0", "weight1", "weight2", "weight", "weight-1", "weightx"]),
+    st.lists(error_token, min_size=1, max_size=4).map(",".join),
+    st.text(),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(sorted(CODES)), error_spec)
+@example("fivequbit", "weight" + "9" * 30)  # weights past n stop at n
+@example("repetition3", "X0")
+@example("fivequbit", "Z\u00b2")
+def test_error_spec_returns_or_raises_value_error(code, spec):
+    returns_or_refuses(_parse_errors, spec, CODES[code])
