@@ -10,13 +10,14 @@ lambda matrix factors into a syndrome decomposition, which is the decoder.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import MAX_KRAUS_BYTES, KrausChannel
 from .codes import ClassicalCode, CodeSubspace, SubsystemIdentification
-from .gf2_symplectic import PauliProduct, _first_weight, _pauli_words
+from .gf2_symplectic import PauliProduct, _first_weight, _pauli_words, identity_word
 from .hilbert import (
     ATOL_ALGEBRA,
     ATOL_EIG,
@@ -136,30 +137,56 @@ class CorrectVerdict:
         }
 
 
+def admit_error_count(code: CodeSubspace, m: int) -> None:
+    """Refuse a Knill-Laflamme check of m errors whose working set passes
+    MAX_KRAUS_BYTES, before anything is built: the blocks E_i C (d x mk) and
+    the Gram matrix with its residual temporaries (3 (mk)^2), at 16 bytes a
+    complex entry."""
+    mk = m * code.dim
+    need = 16 * (code.physical_dim * mk + 3 * mk * mk)
+    if need > MAX_KRAUS_BYTES:
+        raise ValueError(f"{m} errors on this code need {need} bytes for the "
+                         f"Knill-Laflamme Gram matrix, over cap MAX_KRAUS_BYTES={MAX_KRAUS_BYTES}")
+
+
+def _times_code(e, c: np.ndarray, label: str) -> np.ndarray:
+    """E C: a signed row gather for a Pauli word, a matrix product otherwise.
+    A shape mismatch is refused from the word's qubit count, unallocated."""
+    d = c.shape[0]
+    if isinstance(e, PauliProduct):
+        shape = (2 ** e.n,) * 2 if e.n <= 64 else (f"2^{e.n}",) * 2
+    else:
+        e = _as_matrix(e)
+        shape = e.shape
+    if shape != (d, d):
+        raise ValueError(f"error {label} has shape {shape}, but the code needs {(d, d)}")
+    return e.apply(c) if isinstance(e, PauliProduct) else e @ c
+
+
 def _kl_kernel(code: CodeSubspace, errors, against_code: bool = False):
     """Knill-Laflamme on the code basis C, a d x k isometry with P = C C^dag.
 
     G = B^dag B for B = [E_1 C | ... | E_m C], read as (m, k, m, k), holds
     G_ij = C^dag E_i^dag E_j C, and P E_i^dag E_j P = lambda_ij P exactly
     when G_ij = lambda_ij I_k.  With against_code the bra side is C alone
-    (G_j = C^dag E_j C, detectability).  Returns (labels, B, lambda, residual)
-    with lambda_ij = tr(G_ij)/k and residual = max |G_ij - lambda_ij I_k|.
+    (G_j = C^dag E_j C, detectability).  A Pauli word's block E C is a
+    signed row gather of C, never a dense E.  Returns (labels, B, lambda,
+    residual) with lambda_ij = tr(G_ij)/k and residual = max |G_ij - lambda_ij I_k|.
     """
-    labels, mats = [], []
-    for item in errors:
-        label, e = item if isinstance(item, tuple) else (item, item)
-        labels.append(str(label))
-        mats.append(_as_matrix(e))
-        if mats[-1].shape != (code.physical_dim,) * 2:
-            raise ValueError(f"error {labels[-1]} has shape {mats[-1].shape}, "
-                             f"but the code needs {(code.physical_dim,) * 2}")
-    if not mats:
+    errors = list(errors)
+    if not errors:
         raise ValueError("empty error set")
+    admit_error_count(code, len(errors))
     k = code.dim
     c = code.basis_matrix()
-    blocks = np.hstack([e @ c for e in mats])
+    labels = []
+    blocks = np.empty((c.shape[0], len(errors) * k), dtype=complex)
+    for i, item in enumerate(errors):
+        label, e = item if isinstance(item, tuple) else (item, item)
+        labels.append(str(label))
+        blocks[:, i * k:(i + 1) * k] = _times_code(e, c, labels[-1])
     bra = c if against_code else blocks
-    g = (bra.conj().T @ blocks).reshape(bra.shape[1] // k, k, len(mats), k)
+    g = (bra.conj().T @ blocks).reshape(bra.shape[1] // k, k, len(errors), k)
     lam = np.trace(g, axis1=1, axis2=3) / k
     residual = float(np.abs(g - lam[:, None, :, None] * np.eye(k)[:, None, :]).max())
     return tuple(labels), blocks, lam, residual
@@ -267,13 +294,26 @@ def min_distance_quantum(code: CodeSubspace, alphabet: str = "XYZ",
     )
 
 
-def weight_le_errors(n: int, max_weight: int = 1) -> list[tuple[str, np.ndarray]]:
+def weight_le_count(n: int, max_weight: int) -> int:
+    """Number of words weight_le_words yields: sum_{w <= N} C(n, w) 3^w."""
+    return sum(math.comb(n, w) * 3 ** w for w in range(min(max_weight, n) + 1))
+
+
+def weight_le_words(n: int, max_weight: int = 1) -> list[tuple[str, PauliProduct]]:
     """Identity plus every Pauli word of weight up to max_weight, labeled."""
-    out = [("I", np.eye(2 ** n, dtype=complex))]
+    out = [("I", identity_word(n))]
     for support, letters, word in _pauli_words(n, max_weight):
-        label = "".join(f"{c}{j + 1}" for j, c in zip(support, letters))
-        out.append((label, word.dense()))
+        out.append(("".join(f"{c}{j + 1}" for j, c in zip(support, letters)), word))
     return out
+
+
+def weight_le_errors(n: int, max_weight: int = 1) -> list[tuple[str, np.ndarray]]:
+    """weight_le_words as dense matrices, refused past MAX_KRAUS_BYTES unbuilt."""
+    need = weight_le_count(n, max_weight) * 4 ** n * 16
+    if need > MAX_KRAUS_BYTES:
+        raise ValueError(f"dense weight-{max_weight} errors on {n} qubits need {need} bytes, "
+                         f"over cap MAX_KRAUS_BYTES={MAX_KRAUS_BYTES}")
+    return [(label, word.dense()) for label, word in weight_le_words(n, max_weight)]
 
 
 def commutant(ops, dim: int, atol: float = ATOL_ALGEBRA) -> list[np.ndarray]:

@@ -84,7 +84,9 @@ def _parse_errors(spec: str, definition: codes.CodeDefinition):
     if spec.startswith("weight"):
         if not spec[len("weight"):].isdecimal():
             raise ValueError(f"--errors weightN needs a whole number N >= 0, got {spec!r}")
-        return analysis.weight_le_errors(n, int(spec[len("weight"):]))
+        weight = int(spec[len("weight"):])
+        analysis.admit_error_count(definition.subspace, analysis.weight_le_count(n, weight))
+        return analysis.weight_le_words(n, weight)
     out = []
     for token in spec.split(","):
         token = token.strip()
@@ -214,7 +216,7 @@ def cmd_simulate(args) -> int:
                 scenario=definition.name, input_desc=_input_desc(args.input))
     else:
         n = len(definition.subspace.physical_dims)
-        errors = analysis.weight_le_errors(n, 1)
+        errors = analysis.weight_le_words(n, 1)
         verdict = analysis.correctable_quantum(definition.subspace, errors)
         decoder = analysis.decoder_identification(definition.subspace, verdict)
         state = _parse_input(args.input, definition.subspace.dim)
@@ -327,7 +329,7 @@ def cmd_demo(args) -> int:
         return cmd_noiseless(ns)
     if name == "five-qubit":
         stab, space = codes.five_qubit()
-        errors = analysis.weight_le_errors(5, 1)
+        errors = analysis.weight_le_words(5, 1)
         verdict = analysis.correctable_quantum(space, errors)
         decoder = analysis.decoder_identification(space, verdict)
         noisy = channels.tensor_independent(channels.depolarizing(0.1), 5)

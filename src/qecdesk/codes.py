@@ -310,11 +310,13 @@ FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
 
 def stabilizer_codespace(stab: StabilizerGeneratorSet) -> CodeSubspace:
-    """Joint +1 eigenspace of the generators, via the product of (1+A)/2.
+    """Joint +1 eigenspace of the generators, the product of the (1+A)/2.
 
-    The basis comes from pivoted Gram-Schmidt on the projector columns, so it
-    is deterministic.  Inconsistent generators (projector of trace zero) and
-    rank mismatches raise.
+    The projector is built by p <- (p + A p)/2, each A p a signed row gather,
+    and its entries stay exact dyadic numbers.  The basis comes from pivoted
+    Gram-Schmidt on the projector columns, so it is deterministic.
+    Inconsistent generators (projector of trace zero) and rank mismatches
+    raise.
     """
     n = stab.n
     d = 2 ** n
@@ -322,7 +324,8 @@ def stabilizer_codespace(stab: StabilizerGeneratorSet) -> CodeSubspace:
         raise ValueError(f"{n}-qubit codespace: dimension {d} exceeds cap {MAX_TOTAL_DIM}")
     p = np.eye(d, dtype=complex)
     for g in stab.generators:
-        p = p @ (np.eye(d, dtype=complex) + g.dense()) / 2.0
+        p += g.apply(p)
+        p /= 2.0
     expected = 2 ** (n - stab.rank())
     tr = float(np.trace(p).real)
     if tr < 0.5:

@@ -5,6 +5,8 @@ bit per qubit for each half of the 2-bit symbol) plus a power of i.  The
 symbol encoding is I=00, X=01, Y=10, Z=11, so a word on n qubits is a vector
 in GF(2)^(2n); two words commute exactly when their symplectic product
 vanishes.  All group arithmetic here is integer-exact, including phases.
+A word acts on a vector as a signed row gather (`index_map`), so neither the
+analysis nor the codespace build needs its dense matrix.
 """
 
 from __future__ import annotations
@@ -30,20 +32,17 @@ _PHASE_POW = (
 _PHASE_TOKEN = {0: "", 1: "+i", 2: "-", 3: "-i"}
 _TOKEN_PHASE = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 
-_DENSE_1Q = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
 class SearchCapExceeded(Exception):
     """Raised when a minimum-distance search passes its weight cap."""
 
     def __init__(self, cap: int):
         super().__init__(f"no element found up to weight cap {cap}")
         self.cap = cap
+
+
+def _index_bits(bits: int, n: int) -> int:
+    """Reverse n bits: bit j of a word (qubit j) is bit n-1-j of a basis index."""
+    return int(f"{bits:0{n}b}"[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -118,21 +117,46 @@ class PauliProduct:
             v |= ((self.b_bits >> j) & 1) << (2 * j + 1)
         return v
 
-    def symplectic_vector(self) -> np.ndarray:
-        v = self.symplectic_int()
-        return np.array([(v >> i) & 1 for i in range(2 * self.n)], dtype=np.uint8)
-
     def commutes(self, other: "PauliProduct") -> bool:
         if other.n != self.n:
             raise ValueError("qubit counts differ")
         x = (self.a_bits & other.b_bits) ^ (self.b_bits & other.a_bits)
         return x.bit_count() % 2 == 0
 
+    def index_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """(src, coef) with (P v)[i] = coef[i] * v[src[i]], qubit 0 the most
+        significant bit of i.
+
+        X and Y flip their qubit's bit, so src = i ^ x; Z and Y read it, for a
+        sign (-1)^popcount(src & z); and Y = iXZ adds one power of i each.
+        """
+        n = self.n
+        x = _index_bits(self.a_bits ^ self.b_bits, n)
+        z = _index_bits(self.a_bits, n)
+        ys = (self.a_bits & ~self.b_bits).bit_count()
+        src = np.arange(2 ** n) ^ x
+        parity = np.zeros_like(src)
+        for bit in range(n):
+            if z >> bit & 1:
+                parity ^= src >> bit
+        phase = (1, 1j, -1, -1j)[(self.phase_k + ys) % 4]
+        return src, np.where(parity & 1, -phase, phase).astype(complex)
+
+    def apply(self, m) -> np.ndarray:
+        """P m for a vector or the columns of a matrix: a row gather with a sign."""
+        m = np.asarray(m)
+        if m.shape[:1] != (2 ** self.n,):
+            raise ValueError(f"{self} acts on {2 ** self.n} rows, got shape {m.shape}")
+        src, coef = self.index_map()
+        out = m[src].astype(complex, copy=False)
+        out *= coef.reshape((-1,) + (1,) * (m.ndim - 1))
+        return out
+
     def dense(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix, qubit 0 as the most significant factor."""
-        m = np.array([[self.phase]], dtype=complex)
-        for j in range(self.n):
-            m = np.kron(m, _DENSE_1Q[self.symbol(j)])
+        src, coef = self.index_map()
+        m = np.zeros((src.size, src.size), dtype=complex)
+        m[np.arange(src.size), src] = coef
         return m
 
 
@@ -233,21 +257,11 @@ class StabilizerGeneratorSet:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def is_minimal(self) -> bool:
-        return self.rank() == len(self.generators)
-
     def contains(self, p: PauliProduct) -> bool:
         """Phase-free membership in the generated group."""
         if p.n != self.n:
             raise ValueError("qubit counts differ")
         return _in_span(self._pivots, self._reduced, p.symplectic_int())
-
-    def generated_set(self) -> set[PauliProduct]:
-        """All products of generators, phases dropped; 2^rank elements."""
-        out = {identity_word(self.n)}
-        for g in self.generators:
-            out |= {x.multiply(g).phase_free() for x in out}
-        return out
 
     def centralizer(self) -> list[PauliProduct]:
         """Deterministic GF(2) basis of everything commuting with all generators."""

@@ -273,7 +273,7 @@ def to_json_array(a: np.ndarray) -> list:
 def from_json_array(data) -> np.ndarray:
     """Inverse of to_json_array: nested lists of finite [re, im] number pairs.
 
-    Anything else (ragged lists, strings, objects, integers past
+    Anything else (ragged lists, strings, objects, booleans, integers past
     float range, NaN or Infinity) raises ValueError.
     """
     bad = "expected nested lists of [re, im] number pairs"
@@ -283,6 +283,9 @@ def from_json_array(data) -> np.ndarray:
         raise ValueError(bad) from None
     if a.dtype.kind not in "iuf" or a.ndim == 0 or a.shape[-1] != 2:
         raise ValueError(bad)
+    # numpy reads true among integers as 1
+    if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(data, dtype=object).flat):
+        raise ValueError(f"{bad}, not true or false")
     a = a.astype(float)
     if not np.isfinite(a).all():
         raise ValueError("amplitudes must be finite")

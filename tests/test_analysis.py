@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import rand_state, rand_unitary
+from oracles import dense_word
 from qecdesk.analysis import (
+    _kl_kernel,
     build_noiseless_qubit,
     classical_flip_map,
     classical_identity_map,
@@ -24,10 +26,13 @@ from qecdesk.analysis import (
     permutation_operator,
     symmetric_projector,
     synthesize_decoder,
+    weight_le_count,
     weight_le_errors,
+    weight_le_words,
 )
 from qecdesk.channels import collective_rotation, collective_spin
 from qecdesk.codes import (
+    FIVE_QUBIT_GENERATORS,
     ClassicalCode,
     builtin_code,
     five_qubit,
@@ -44,6 +49,8 @@ from qecdesk.gf2_symplectic import (
 from qecdesk.hilbert import ATOL_ALGEBRA
 
 STEANE = ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"]
+SHOR = ["ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI", "IIIIIIIZZ",
+        "XXXXXXIII", "IIIXXXXXX"]
 
 SIGMA = {
     "I": np.eye(2, dtype=complex),
@@ -435,6 +442,42 @@ def test_weight_le_errors_order_matches_nested_loop():
     assert [l for l, _ in got] == [l for l, _ in want]
     for (_, a), (_, b) in zip(got, want):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", ["five-w2", "steane-w2", "shor-w1"])
+def test_kernel_from_words_matches_dense_errors(case):
+    # the blocks E C from row gathers, and so lambda and the residual, are the
+    # dense products bit for bit; dense_word is the Kronecker-chain oracle
+    name, weight = case.split("-w")
+    stab = StabilizerGeneratorSet.from_strings(
+        {"five": list(FIVE_QUBIT_GENERATORS), "steane": STEANE, "shor": SHOR}[name])
+    space = stabilizer_codespace(stab)
+    words = weight_le_words(stab.n, int(weight))
+    dense = [(label, dense_word(w)) for label, w in words]
+    for against_code in (False, True):
+        got = _kl_kernel(space, words, against_code)
+        want = _kl_kernel(space, dense, against_code)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert np.array_equal(a, b)
+
+
+def test_weight_le_words_match_the_dense_errors():
+    words = weight_le_words(4, 2)
+    assert len(words) == weight_le_count(4, 2) == 1 + 12 + 54
+    assert weight_le_count(5, 10 ** 30) == 4 ** 5  # weights past n stop at n
+    for (label, word), (dlabel, e) in zip(words, weight_le_errors(4, 2)):
+        assert label == dlabel and np.array_equal(dense_word(word), e)
+
+
+def test_error_counts_are_refused_before_the_kernel_allocates():
+    five = five_qubit()[1]
+    # 5,000 copies of I: the Gram matrix alone would be 1.6 GB
+    with pytest.raises(ValueError, match="5000 errors on this code.*MAX_KRAUS_BYTES"):
+        correctable_quantum(five, [("I", PauliProduct.from_string("IIIII"))] * 5000)
+    # 436 dense 1024 x 1024 matrices would be 7 GiB
+    with pytest.raises(ValueError, match="MAX_KRAUS_BYTES"):
+        weight_le_errors(10, 2)
 
 
 def test_dense_and_symplectic_distances_agree_on_steane():

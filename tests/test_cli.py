@@ -391,6 +391,48 @@ def test_huge_spec_products_are_refused_before_allocation():
         assert done.stdout == "" and cap in done.stderr and "Traceback" not in done.stderr
 
 
+REPETITION10 = "".join("I" * j + "ZZ" + "I" * (8 - j) + "\n" for j in range(9))
+
+
+def test_oversized_words_and_error_sets_are_refused_before_allocation(tmp_path):
+    """Under a 2 GB address-space limit: a 20-qubit word on a 3-qubit code
+    (a dense 2^20 x 2^20 matrix) and weight5 on a 10-qubit code (81,922
+    words, a Gram matrix past 1 TB) are refused by arithmetic."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+    path = tmp_path / "repetition10.txt"
+    path.write_text(REPETITION10)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
+
+    for argv, messages in (
+        (["check", "--code", "repetition3", "--errors", "X" * 20],
+         ["has shape (1048576, 1048576), but the code needs (8, 8)"]),
+        (["check", "--code", str(path), "--errors", "weight5"],
+         ["81922 errors on this code need", "MAX_KRAUS_BYTES=1073741824"]),
+    ):
+        done = subprocess.run([sys.executable, "-m", "qecdesk.cli", *argv], env=env,
+                              preexec_fn=limit, capture_output=True, text=True, timeout=60)
+        assert done.returncode == USAGE_EXIT, (argv, done.stderr)
+        assert done.stdout == "" and "Traceback" not in done.stderr
+        assert all(m in done.stderr for m in messages), done.stderr
+
+
+def test_weight2_on_a_ten_qubit_code_is_admitted(tmp_path):
+    from qecdesk.analysis import correctable_quantum
+    from qecdesk.cli import _load_code, _parse_errors
+
+    path = tmp_path / "repetition10.txt"
+    path.write_text(REPETITION10)
+    definition = _load_code(str(path))
+    errors = _parse_errors("weight2", definition)
+    assert len(errors) == 1 + 30 + 405
+    verdict = correctable_quantum(definition.subspace, errors)
+    assert verdict.lambda_matrix.shape == (436, 436)
+    assert not verdict.correctable  # single Z errors are logical
+
+
 def test_check_rejects_bad_code_file(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("basis:\nnot json at all\n")
@@ -406,7 +448,8 @@ def test_bad_code_file_amplitudes_name_the_vector(capsys, tmp_path):
     for line, why in (("[1, 0]", "list of at least two [re, im] pairs"),
                       ("[[1, 0]]", "list of at least two [re, im] pairs"),
                       ('{"a": 1}', "[re, im] number pairs"),
-                      ("[[1e400,0],[0,0]]", "finite")):
+                      ("[[1e400,0],[0,0]]", "finite"),
+                      ("[[true,0],[0,0]]", "not true or false")):
         path.write_text(f"basis:\n[[0,0],[1,0]]\n{line}\n")
         assert main(["check", "--code", str(path), "--errors", "I"]) == USAGE_EXIT, line
         captured = capsys.readouterr()

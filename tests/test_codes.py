@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_state
+from oracles import projector_codespace
 from qecdesk.channels import depolarizing, identity_channel, tensor_channels
 from qecdesk.codes import (
     CodeSubspace,
@@ -217,6 +218,24 @@ def test_stabilizer_codespace_five_qubit():
     # basis is deterministic across rebuilds
     again = stabilizer_codespace(stab)
     assert np.allclose(space.basis_matrix(), again.basis_matrix(), atol=1e-15)
+
+
+STEANE = ("IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ")
+SHOR = ("ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI", "IIIIIIIZZ",
+        "XXXXXXIII", "IIIXXXXXX")
+
+
+@pytest.mark.parametrize("gens", [FIVE_QUBIT_GENERATORS, STEANE, SHOR],
+                         ids=["five", "steane", "shor"])
+def test_stabilizer_codespace_matches_the_projector_product(gens):
+    # the row-gather projector and the dense product of (I + g)/2 agree bit
+    # for bit, on each code and on a qubit-permuted copy of it
+    n = len(gens[0])
+    perm = np.random.default_rng(n).permutation(n)
+    for words in (gens, ["".join(w[j] for j in perm) for w in gens]):
+        stab = StabilizerGeneratorSet.from_strings(list(words))
+        got = stabilizer_codespace(stab).basis_matrix()
+        assert np.array_equal(got, projector_codespace(stab).basis_matrix())
 
 
 def test_stabilizer_codespace_rejects_inconsistent_generators():

@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dense_word
 
 from qecdesk.gf2_symplectic import (
     PauliProduct,
@@ -97,9 +100,8 @@ def test_commutes_matches_dense_commutator():
 def test_symplectic_vector_layout():
     w = PauliProduct.from_string("XZY")
     # bit 2j is a_j, bit 2j+1 is b_j, with symbol code 2a+b: X=01, Y=10, Z=11
-    v = w.symplectic_vector()
-    assert v.tolist() == [0, 1, 1, 1, 1, 0]
-    assert w.symplectic_int() == sum(int(b) << i for i, b in enumerate(v))
+    bits = [0, 1, 1, 1, 1, 0]
+    assert w.symplectic_int() == sum(b << i for i, b in enumerate(bits))
 
 
 def test_dense_qubit_order():
@@ -118,27 +120,40 @@ def test_generator_set_rejects_anticommuting_or_phased():
         StabilizerGeneratorSet.from_strings(["-ZZ"])
 
 
+def generated_group(s):
+    """Oracle: every product of generators, phases dropped; 2^rank elements."""
+    out = {identity_word(s.n)}
+    for g in s.generators:
+        out |= {x.multiply(g).phase_free() for x in out}
+    return out
+
+
+def all_words(n):
+    return [PauliProduct(n, a, b, 0) for a in range(2 ** n) for b in range(2 ** n)]
+
+
 def test_generated_set_and_membership():
     s = StabilizerGeneratorSet.from_strings(["ZZI", "ZIZ"])
-    group = s.generated_set()
+    group = generated_group(s)
     assert {str(g) for g in group} == {"III", "ZZI", "ZIZ", "IZZ"}
     assert s.contains(PauliProduct.from_string("IZZ"))
     assert not s.contains(PauliProduct.from_string("ZII"))
-    assert s.rank() == 2 and s.is_minimal()
+    assert [w for w in all_words(3) if s.contains(w)] == [w for w in all_words(3) if w in group]
+    assert s.rank() == 2 == len(s.generators)
 
 
 def test_redundant_generator_detected():
     s = StabilizerGeneratorSet.from_strings(["ZZI", "ZIZ", "IZZ"])
-    assert s.rank() == 2
-    assert not s.is_minimal()
+    assert s.rank() == 2 < len(s.generators)
+    assert len(generated_group(s)) == 2 ** s.rank()
 
 
 def test_five_qubit_group_by_brute_force():
     s = StabilizerGeneratorSet.from_strings(FIVE_QUBIT)
-    group = s.generated_set()
+    group = generated_group(s)
     assert len(group) == 16
 
-    # oracle: expand all GF(2) combinations with dense matrices
+    # oracle: expand all GF(2) combinations with exact products
     gens = [PauliProduct.from_string(t) for t in FIVE_QUBIT]
     seen = set()
     for bits in itertools.product([0, 1], repeat=4):
@@ -148,8 +163,7 @@ def test_five_qubit_group_by_brute_force():
                 p = p.multiply(g)
         seen.add(p.phase_free())
     assert seen == group
-    for p in group:
-        assert s.contains(p)
+    assert {w for w in all_words(5) if s.contains(w)} == group
 
 
 def test_centralizer_dimension_and_brute_force():
@@ -213,3 +227,29 @@ def test_single_qubit_word_placement():
     assert str(w) == "IIYI"
     with pytest.raises(ValueError):
         single_qubit_word(3, 3, "X")
+
+
+# --- the index-map action against the Kronecker chain ---------------------------
+
+phased_words = st.integers(1, 6).flatmap(lambda n: st.builds(
+    PauliProduct, st.just(n), st.integers(0, 2 ** n - 1), st.integers(0, 2 ** n - 1),
+    st.integers(0, 3)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(phased_words, st.integers(0, 2 ** 32 - 1))
+def test_apply_and_dense_match_the_kronecker_chain(word, seed):
+    rng = np.random.default_rng(seed)
+    want = dense_word(word)
+    assert np.array_equal(word.dense(), want)
+    d = 2 ** word.n
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    m = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+    assert np.array_equal(word.apply(v), want @ v)
+    assert np.array_equal(word.apply(m), want @ m)
+    assert np.array_equal(word.apply(m.real), want @ m.real)
+
+
+def test_apply_refuses_a_wrong_row_count():
+    with pytest.raises(ValueError, match="acts on 8 rows"):
+        PauliProduct.from_string("XYZ").apply(np.ones((4, 2)))

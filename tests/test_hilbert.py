@@ -171,3 +171,7 @@ def test_json_array_round_trip():
     assert to_json_array(np.array(1 + 2j)) == [1.0, 2.0]
     with pytest.raises(ValueError):
         from_json_array([[1.0, 2.0, 3.0]])
+    # booleans among numbers would read as 1 and 0
+    for data in ([[True, 0], [0, 0]], [[1.0, 0], [0, False]], [[True, False]]):
+        with pytest.raises(ValueError, match="not true or false|number pairs"):
+            from_json_array(data)

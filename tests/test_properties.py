@@ -92,6 +92,7 @@ code_text = st.builds(
 @example("basis:\n[1, 0]")  # was an IndexError
 @example('basis:\n{"a": 1}')  # was a TypeError
 @example("basis:\n[[1e400,0],[0,0]]")  # was NaN in the JSON output
+@example("basis:\n[[true,0],[0,0]]")  # read as [1, 0]
 @example("basis:\n[[1e200,0],[1e200,0]]\n[[1e200,0],[-1e200,0]]")  # Gram overflows to NaN
 @example("basis:\n[[" + "9" * 400 + ", 0]]")  # an integer past float range
 @example("basis:\n" + "[" * 100000)  # nested past the recursion limit
