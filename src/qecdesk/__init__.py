@@ -66,7 +66,6 @@ from .fidelity import (
     bad_branch_error_bound,
     entanglement_fidelity,
     error_estimate_pure,
-    fidelity_mixed,
 )
 from .pipelines import (
     PipelineReport,

@@ -40,30 +40,6 @@ def classical_flip_map(n: int, positions) -> dict:
     return out
 
 
-def classical_shift_map(alphabet: int, k: int) -> dict:
-    """Cyclic shift by k on single-symbol words over {0..alphabet-1}."""
-    return {str(x): str((x + k) % alphabet) for x in range(alphabet)}
-
-
-def classical_identity_map(states) -> dict:
-    return {s: s for s in states}
-
-
-def invert_map(emap: dict) -> dict:
-    inv = {}
-    for x, y in emap.items():
-        if y in inv:
-            raise ValueError("error map is not invertible")
-        inv[y] = x
-    if set(inv) != set(emap):
-        raise ValueError("error map is not a bijection on the state set")
-    return inv
-
-
-def compose_maps(outer: dict, inner: dict) -> dict:
-    return {x: outer[inner[x]] for x in inner}
-
-
 def detectable_classical(code: ClassicalCode, emap: dict) -> bool:
     """An error is detectable when it never maps one code word onto another."""
     for x in code.words:
@@ -354,14 +330,6 @@ def commutant(ops, dim: int, atol: float = ATOL_ALGEBRA) -> list[np.ndarray]:
             if np.abs(b @ e - e @ b).max() > 1e-7:
                 raise ValueError("commutant is not dagger-closed; symmetrized element fails to commute")
     return basis
-
-
-def in_span(basis: list[np.ndarray], m: np.ndarray, atol: float = 1e-8) -> bool:
-    """Membership of m in the (complex) span of the given trace-orthonormal basis."""
-    resid = m.astype(complex).copy()
-    for b in basis:
-        resid -= np.trace(b.conj().T @ resid) * b
-    return bool(np.abs(resid).max() <= atol)
 
 
 def permutation_operator(src_of: tuple[int, ...]) -> np.ndarray:

@@ -471,66 +471,16 @@ def twirl(ch: KrausChannel) -> PauliChannel:
     return PauliChannel(1, probs)
 
 
-def _canonical_phase(m: np.ndarray) -> np.ndarray:
-    flat = m.reshape(-1)
-    idx = int(np.argmax(np.abs(flat) > 1e-6))
-    z = flat[idx]
-    return m * (z.conjugate() / abs(z))
-
-
-@functools.cache
-def rotation_group() -> list[np.ndarray]:
-    """The 24 single-qubit rotations generated by 90-degree x/y/z turns."""
-    # quarter turns exp(-i sigma_u pi/4) around each axis generate all 24
-    gens = [
-        exp_hermitian(pauli(u), math.pi / 4.0).matrix for u in "XYZ"
-    ]
-    def key(m):
-        c = _canonical_phase(m)
-        return tuple(np.round(c.reshape(-1), 9).view(float))
-    seen = {key(np.eye(2, dtype=complex)): np.eye(2, dtype=complex)}
-    frontier = [np.eye(2, dtype=complex)]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = g @ m
-                k = key(p)
-                if k not in seen:
-                    seen[k] = _canonical_phase(p)
-                    nxt.append(p)
-        frontier = nxt
-    group = list(seen.values())
-    if len(group) != 24:
-        raise RuntimeError(f"rotation group closure found {len(group)} elements")
-    return group
-
-
 def clifford_twirl(pch: PauliChannel) -> KrausChannel:
     """Average a Pauli channel over the 24-element rotation group.
 
-    The average equalizes the three non-identity probabilities, so the result
-    is depolarizing with p = (4/3)(p_X + p_Y + p_Z).
+    The group permutes the X, Y and Z axes transitively, so the average
+    spreads s = p_X + p_Y + p_Z evenly over them: depolarizing with
+    p = (4/3) s, or X/Y/Z kicks of s/3 each when p > 1.
     """
     if pch.n != 1:
         raise ValueError("clifford_twirl is defined for single-qubit channels")
-    p_in = {u: pch.probability(u) for u in "IXYZ"}
-    acc = {u: 0.0 for u in "XYZ"}
-    group = rotation_group()
-    for r in group:
-        for v in "XYZ":
-            conj = r @ _SIGMA[v] @ r.conj().T
-            for u in "XYZ":
-                c = np.trace(_SIGMA[u] @ conj) / 2.0
-                if abs(abs(c) - 1.0) < 1e-9:
-                    acc[u] += p_in[v] / len(group)
-                    break
-            else:
-                raise RuntimeError("rotation did not permute the Pauli axes")
-    s = math.fsum(acc.values())
-    spread = max(acc.values()) - min(acc.values())
-    if spread > 1e-12:
-        raise RuntimeError(f"group average left spread {spread}")
+    s = math.fsum(pch.probability(u) for u in "XYZ")
     p = 4.0 * s / 3.0
     if p <= 1.0:
         return depolarizing(p)

@@ -43,7 +43,8 @@ def _round(obj, ndigits=10):
 
 
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(_round(payload), indent=2, allow_nan=False) + "\n"
+    payload = _round(payload)
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if getattr(args, "table", False):
         lines = []
         for k, v in payload.items():
@@ -225,7 +226,7 @@ def cmd_simulate(args) -> int:
         report = pipelines.run_corrected(
             definition.subspace, decoder, channel, state,
             scenario=definition.name, input_desc=_input_desc(args.input))
-    _emit(report.to_json(ndigits=10), args)
+    _emit(report.to_json(), args)
     return 2 if report.metrics.get("fail", 0.0) > args.fail_threshold else 0
 
 
@@ -298,7 +299,7 @@ def cmd_demo(args) -> int:
         report = pipelines.run_exact(ident, noisy, pipelines.PLUS,
                                      scenario="trivial2",
                                      input_desc="(|0>+|1>)/sqrt2")
-        _emit(report.to_json(ndigits=10), args)
+        _emit(report.to_json(), args)
         return 0
     if name == "repetition-classical":
         rep = codes.repetition_classical()
@@ -317,11 +318,11 @@ def cmd_demo(args) -> int:
         report = pipelines.run_exact(ident, noisy, basis_state((2,), 0),
                                      scenario="repetition-quantum",
                                      input_desc="|0>")
-        _emit(report.to_json(ndigits=10), args)
+        _emit(report.to_json(), args)
         return 0
     if name == "cyclic7":
         report = pipelines.run_cyclic()
-        _emit(report.to_json(ndigits=10), args)
+        _emit(report.to_json(), args)
         return 2 if report.metrics["fail"] > args.fail_threshold else 0
     if name == "three-spin":
         ns = argparse.Namespace(seed=0, rotations=100, table=args.table,
@@ -336,7 +337,7 @@ def cmd_demo(args) -> int:
         report = pipelines.run_corrected(space, decoder, noisy, pipelines.PLUS,
                                          scenario="five-qubit",
                                          input_desc="(|0>+|1>)/sqrt2")
-        payload = report.to_json(ndigits=10)
+        payload = report.to_json()
         payload["correctable_weight1"] = verdict.correctable
         payload["lambda_rank"] = verdict.rank
         payload["distance"] = stab.min_distance()

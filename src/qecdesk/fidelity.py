@@ -9,11 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _BLOCK_ENTRIES, KrausChannel, _philox_blocks
-from .hilbert import (
-    ATOL_ALGEBRA,
-    DensityOperator,
-    StateVector,
-)
+from .hilbert import StateVector
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,24 +33,6 @@ def error_estimate_pure(output: StateVector, reference: StateVector) -> ErrorEst
     err = output.amplitudes - gamma * reference.amplitudes
     eps = float(np.vdot(err, err).real)
     return ErrorEstimate(gamma, eps, StateVector(output.dims, err))
-
-
-def mixture_error(branches, reference: StateVector) -> float:
-    """Probability-weighted error of a mixture given as (prob, pure state) pairs."""
-    total = 0.0
-    for prob, state in branches:
-        if prob < -ATOL_ALGEBRA:
-            raise ValueError(f"negative branch probability {prob}")
-        total += prob * error_estimate_pure(state, reference).epsilon
-    return total
-
-
-def fidelity_mixed(rho: DensityOperator, reference: StateVector) -> float:
-    """<ref| rho |ref>, clamped to [0, 1]."""
-    if rho.dims != reference.dims:
-        raise ValueError("states live on different spaces")
-    f = float(np.real(np.vdot(reference.amplitudes, rho.matrix @ reference.amplitudes)))
-    return min(max(f, 0.0), 1.0)
 
 
 def entanglement_fidelity(ch: KrausChannel) -> float:

@@ -1,17 +1,19 @@
 """End-to-end encode / noise / decode scenarios and concatenation arithmetic.
 
-Every exact run has one core: a decoder is an isometry W from syndrome (x)
-logical into the physical space, the encoded pure state goes through the
-noise as branch vectors, and the syndrome blocks of W^dag rho W give the
-outcome table.  run_exact encodes by the identification, run_corrected as
-C psi in a code subspace.  Monte Carlo runs sample noise branches per trial
-from counter-derived streams and must agree with the exact run within
-sampling error.  Reports serialize to a stable JSON layout.
+A decoder is an isometry W from syndrome (x) logical into the physical space,
+and every run reports one outcome table (_table): an "ok" and an "err" mass
+per syndrome, and a "fail" mass outside W.  The exact runs push the encoded
+pure state through the noise as branch vectors and read the table from the
+syndrome blocks of W^dag rho W; run_exact encodes by the identification,
+run_corrected as C psi in a code subspace.  run_monte_carlo forms the same
+table per noise branch, from W^dag of each normalized branch vector, and
+samples a branch and then an outcome per trial from counter-derived streams,
+so it agrees with the exact run within sampling error.  Reports serialize to
+a stable JSON layout.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +38,10 @@ REPORTED_THRESHOLDS = {
     "known_basis_measurement": 1.0,
 }
 
+# bits of one exact level in concat_recursion, checked before any power is
+# formed: p = 1e-3 with C = 100 admits 18 levels (2.5 Mbit, about 3 s)
+MAX_CONCAT_BITS = 2 ** 22
+
 PLUS = StateVector((2,), np.array([1.0, 1.0]) / math.sqrt(2.0))
 
 
@@ -57,20 +63,17 @@ class PipelineReport:
                 return p
         return 0.0
 
-    def to_json(self, ndigits: int | None = None) -> dict:
-        def r(x: float):
-            return round(float(x), ndigits) if ndigits is not None else float(x)
-
+    def to_json(self) -> dict:
         out = {
             "scenario": self.scenario,
             "input": self.input_desc,
             "outcomes": [
-                {"syndrome": s, "logical": l, "p": r(p)} for s, l, p in self.outcomes
+                {"syndrome": s, "logical": l, "p": float(p)} for s, l, p in self.outcomes
             ],
             "logical_rho": [
-                [[r(z.real), r(z.imag)] for z in row] for row in self.logical_rho
+                [[float(z.real), float(z.imag)] for z in row] for row in self.logical_rho
             ],
-            "metrics": {k: r(v) for k, v in self.metrics.items()},
+            "metrics": {k: float(v) for k, v in self.metrics.items()},
         }
         if self.seed is not None:
             out["seed"] = self.seed
@@ -79,47 +82,70 @@ class PipelineReport:
         return out
 
 
-def _check_logical_input(ident_dim: int, state: StateVector) -> StateVector:
-    if state.dims != (ident_dim,):
-        raise ValueError(f"input state must be {ident_dim}-dimensional")
+def _check_run(ident: SubsystemIdentification, channel: KrausChannel,
+               state: StateVector) -> np.ndarray:
+    """The input's amplitudes, once it fits the logical factor and the noise
+    fits the physical space."""
+    if state.dims != (ident.logical_dim,):
+        raise ValueError(f"input state must be {ident.logical_dim}-dimensional")
     if abs(state.norm() - 1.0) > ATOL_ALGEBRA:
         raise ValueError("input state is not normalized")
-    return state
-
-
-def _run(ident: SubsystemIdentification, channel: KrausChannel, psi_in: StateVector,
-         psi_enc: np.ndarray, scenario: str, input_desc: str) -> PipelineReport:
-    """The encode/noise/decode core: psi_enc through the noise, then the
-    syndrome blocks of W^dag rho W.
-
-    Each syndrome gives an "ok" row (the block's overlap with the input,
-    clamped to [0, p]) and an "err" row (the rest); a partial W adds one
-    "fail" row, tr((I - W W^dag) rho).  logical_rho is the sum of the blocks
-    normalized by their weight: the logical state given acceptance.
-    """
     if channel.dims != tuple(ident.physical_dims):
         raise ValueError("channel dims do not match the code")
-    sigma, fail = ident.subsystem_matrix(channel.apply_pure(psi_enc))
-    psi, dl = psi_in.amplitudes, ident.logical_dim
-    rows = []
-    logical = np.zeros((dl, dl), dtype=complex)
-    success = error = 0.0
-    for s in range(ident.syndrome_dim):
-        block = sigma[s * dl:(s + 1) * dl, s * dl:(s + 1) * dl]
-        p = float(np.trace(block).real)
-        p_ok = min(max(float(np.real(np.vdot(psi, block @ psi))), 0.0), p)
-        label = ident.syndrome_label(s)
-        rows += [(label, "ok", p_ok), (label, "err", p - p_ok)]
-        logical += block
-        success += p_ok
-        error += p - p_ok
+    return state.amplitudes
+
+
+def _table(p: np.ndarray, ok: np.ndarray, fail) -> np.ndarray:
+    """The outcome masses [ok_0, err_0, ..., ok_(S-1), err_(S-1), fail].
+
+    p[..., s] is syndrome s's mass and ok[..., s] its overlap with the input,
+    clamped to [0, p]; err is the rest.  Leading axes (one per noise branch)
+    carry through.
+    """
+    ok = np.minimum(np.maximum(ok, 0.0), p)
+    pairs = np.stack([ok, p - ok], axis=-1).reshape(*p.shape[:-1], -1)
+    return np.concatenate([pairs, np.asarray(fail)[..., None]], axis=-1)
+
+
+def _report(ident: SubsystemIdentification, masses: np.ndarray, scenario: str,
+            input_desc: str, logical: np.ndarray, seed: int | None = None,
+            trials: int | None = None) -> PipelineReport:
+    """Rows and metrics of one outcome table; the "fail" row appears only
+    when W is partial.  A sampled table (trials given) adds error_std."""
+    kinds = ("ok", "err")
+    rows = [(ident.syndrome_label(i // 2), kinds[i % 2], float(m))
+            for i, m in enumerate(masses[:-1])]
     if not ident.is_complete():
-        rows.append(("fail", "", fail))
+        rows.append(("fail", "", float(masses[-1])))
+    error = float(masses[1:-1:2].sum())
+    metrics = {"success": float(masses[:-1:2].sum()), "error": error,
+               "fail": float(masses[-1])}
+    if trials is not None:
+        metrics["error_std"] = math.sqrt(max(error * (1.0 - error), 1e-30) / trials)
+    return PipelineReport(scenario, input_desc, tuple(rows), logical, metrics,
+                          seed=seed, trials=trials)
+
+
+def _run(ident: SubsystemIdentification, channel: KrausChannel, psi: np.ndarray,
+         psi_enc: np.ndarray, scenario: str, input_desc: str) -> PipelineReport:
+    """The encode/noise/decode core: psi_enc through the noise, then the
+    diagonal syndrome blocks of W^dag rho W.
+
+    Each block's trace is its syndrome's mass and <psi|block|psi> its "ok"
+    mass; the mass outside W is "fail".  logical_rho is the sum of the blocks
+    normalized by their weight: the logical state given acceptance.
+    """
+    sigma, fail = ident.subsystem_matrix(channel.apply_pure(psi_enc))
+    ns, dl = ident.syndrome_dim, ident.logical_dim
+    s = np.arange(ns)
+    blocks = sigma.reshape(ns, dl, ns, dl)[s, :, s, :]
+    p = np.trace(blocks, axis1=1, axis2=2).real
+    ok = (blocks @ psi @ psi.conj()).real
+    logical = blocks.sum(axis=0)
     accepted = float(np.trace(logical).real)
     if accepted > ATOL_ALGEBRA:
         logical = logical / accepted
-    metrics = {"success": success, "error": error, "fail": fail}
-    return PipelineReport(scenario, input_desc, tuple(rows), logical, metrics)
+    return _report(ident, _table(p, ok, fail), scenario, input_desc, logical)
 
 
 def run_exact(
@@ -131,9 +157,31 @@ def run_exact(
 ) -> PipelineReport:
     """Encode by the identification (syndrome in its base value), apply
     noise, decode by the identification, enumerate outcomes."""
-    psi_in = _check_logical_input(ident.logical_dim, input_state)
-    return _run(ident, channel, psi_in, ident.encode(psi_in).amplitudes,
+    psi = _check_run(ident, channel, input_state)
+    return _run(ident, channel, psi, ident.encode(input_state).amplitudes,
                 scenario, input_desc)
+
+
+def _code_decoder(code: CodeSubspace,
+                  decoder: SubsystemIdentification | KrausChannel) -> SubsystemIdentification:
+    """The decoder of a code subspace as an identification W.
+
+    The decoder is an identification of the code (decoder_identification) or
+    a recovery channel whose good branches R_k map back into the code, read
+    as W_k = R_k^dag C: then W_k^dag rho W_k = C^dag R_k rho R_k^dag C, and
+    the isometry check refuses branches that leave the code.  The bad
+    branches' mass, outside every W_k, reports as "fail".
+    """
+    if isinstance(decoder, KrausChannel):
+        good = [(l, r) for l, r in decoder.ops if l not in decoder.bad_labels]
+        w = np.hstack([r.conj().T @ code.basis_matrix() for _, r in good])
+        decoder = SubsystemIdentification(
+            code.physical_dims, len(good), code.dim,
+            LinearOperator((len(good), code.dim), code.physical_dims, w),
+            syndrome_labels=tuple(l for l, _ in good))
+    if decoder.logical_dim != code.dim or tuple(decoder.physical_dims) != code.physical_dims:
+        raise ValueError("decoder does not match the code")
+    return decoder
 
 
 def run_corrected(
@@ -144,26 +192,11 @@ def run_corrected(
     scenario: str = "corrected",
     input_desc: str = "",
 ) -> PipelineReport:
-    """Encode as C psi in a code subspace, apply noise, decode.
-
-    The decoder is an identification of the code (decoder_identification) or
-    a recovery channel whose good branches R_k map back into the code, read
-    as W_k = R_k^dag C: then W_k^dag rho W_k = C^dag R_k rho R_k^dag C, and
-    the isometry check refuses branches that leave the code.  The bad
-    branches' mass, outside every W_k, reports as "fail".
-    """
-    psi_in = _check_logical_input(code.dim, input_state)
-    if isinstance(decoder, KrausChannel):
-        good = [(l, r) for l, r in decoder.ops if l not in decoder.bad_labels]
-        w = np.hstack([r.conj().T @ code.basis_matrix() for _, r in good])
-        decoder = SubsystemIdentification(
-            code.physical_dims, len(good), code.dim,
-            LinearOperator((len(good), code.dim), code.physical_dims, w),
-            syndrome_labels=tuple(l for l, _ in good))
-    if decoder.logical_dim != code.dim or tuple(decoder.physical_dims) != code.physical_dims:
-        raise ValueError("decoder does not match the code")
-    return _run(decoder, channel, psi_in, code.basis_matrix() @ psi_in.amplitudes,
-                scenario, input_desc)
+    """Encode as C psi in a code subspace, apply noise, decode by an
+    identification of the code or a recovery channel (see _code_decoder)."""
+    ident = _code_decoder(code, decoder)
+    psi = _check_run(ident, channel, input_state)
+    return _run(ident, channel, psi, code.basis_matrix() @ psi, scenario, input_desc)
 
 
 def run_cyclic(
@@ -193,40 +226,24 @@ def run_cyclic(
 _MC_BLOCK = 8192
 
 
-def _branch_tables(ident: SubsystemIdentification, channel: KrausChannel,
-                   psi_enc: np.ndarray, psi_in: np.ndarray):
-    """Per channel branch: (branch probability, outcome distribution).
-
-    Outcomes are indexed into a shared row list [(syndrome, logical), ...,
-    ("fail", "")]; per-branch distributions are conditional on the branch.
-    """
-    dl = ident.logical_dim
-    w = ident.isometry.matrix
-    rows = []
-    for s in range(ident.syndrome_dim):
-        rows.append((ident.syndrome_label(s), "ok"))
-        rows.append((ident.syndrome_label(s), "err"))
-    rows.append(("fail", ""))
-    qs = []
-    dists = []
-    for v in itertools.chain.from_iterable(channel.branch_blocks(psi_enc)):
-        q = float(np.vdot(v, v).real)
+def _branches(ident: SubsystemIdentification, channel: KrausChannel,
+              psi: np.ndarray, psi_enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per noise branch A_k psi_enc: its mass q_k and its outcome table given
+    the branch, from W^dag of the normalized branch vectors, one block of
+    branches at a time.  A branch of mass <= 1e-30 gets an all-zero table."""
+    w = ident.isometry.matrix.conj()
+    qs, tables = [], []
+    for v in channel.branch_blocks(psi_enc):
+        q = np.einsum("ij,ij->i", v.conj(), v).real
+        live = q > 1e-30
+        # dividing by an infinite norm sends a zero-mass branch to zeros
+        sub = (v / np.sqrt(np.where(live, q, np.inf))[:, None]) @ w
+        sub = sub.reshape(len(v), ident.syndrome_dim, ident.logical_dim)
+        p = np.einsum("bsl,bsl->bs", sub.conj(), sub).real
+        ok = np.abs(sub @ psi.conj()) ** 2
         qs.append(q)
-        if q <= 1e-30:
-            dists.append(np.zeros(len(rows)))
-            continue
-        v = v / math.sqrt(q)
-        sub = w.conj().T @ v
-        dist = np.zeros(len(rows))
-        for s in range(ident.syndrome_dim):
-            block = sub[s * dl:(s + 1) * dl]
-            p_s = float(np.vdot(block, block).real)
-            p_ok = abs(np.vdot(psi_in, block)) ** 2
-            dist[2 * s] = min(p_ok, p_s)
-            dist[2 * s + 1] = p_s - dist[2 * s]
-        dist[-1] = max(1.0 - dist.sum(), 0.0)
-        dists.append(dist)
-    return rows, np.array(qs), np.vstack(dists)
+        tables.append(_table(p, ok, np.maximum(live - p.sum(axis=1), 0.0)))
+    return np.concatenate(qs), np.concatenate(tables)
 
 
 def run_monte_carlo(
@@ -245,48 +262,22 @@ def run_monte_carlo(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    psi_in = _check_logical_input(ident.logical_dim, input_state)
-    psi_enc = ident.encode(psi_in)
-    if channel.dims != tuple(ident.physical_dims):
-        raise ValueError("channel dims do not match the code")
-    rows, qs, dists = _branch_tables(ident, channel,
-                                     psi_enc.amplitudes, psi_in.amplitudes)
+    psi = _check_run(ident, channel, input_state)
+    qs, tables = _branches(ident, channel, psi, ident.encode(input_state).amplitudes)
     cum_q = np.cumsum(qs)
     cum_q[-1] = max(cum_q[-1], 1.0)
-    cum_d = np.cumsum(dists, axis=1)
-    counts = np.zeros(len(rows), dtype=np.int64)
+    cum_d = np.cumsum(tables, axis=1)
+    counts = np.zeros(tables.shape[1], dtype=np.int64)
     for g, count in _philox_blocks(seed, trials, _MC_BLOCK):
         u = g.random((count, 2))
         branch = np.searchsorted(cum_q, u[:, 0], side="right")
         branch = np.minimum(branch, len(qs) - 1)
         row = (cum_d[branch] < u[:, 1][:, None]).sum(axis=1)
-        row = np.minimum(row, len(rows) - 1)
-        counts += np.bincount(row, minlength=len(rows))
-    freq = counts / float(trials)
-    out_rows = []
-    success = error = fail = 0.0
-    for (s, l), f in zip(rows, freq):
-        if s == "fail":
-            fail = float(f)
-            if ident.is_complete() and counts[-1] == 0:
-                continue
-            out_rows.append((s, l, float(f)))
-        else:
-            out_rows.append((s, l, float(f)))
-            if l == "ok":
-                success += float(f)
-            else:
-                error += float(f)
-    err_std = math.sqrt(max(error * (1.0 - error), 1e-30) / trials)
-    metrics = {
-        "success": success,
-        "error": error,
-        "fail": fail,
-        "error_std": err_std,
-    }
+        row = np.minimum(row, len(counts) - 1)
+        counts += np.bincount(row, minlength=len(counts))
     logical = np.zeros((ident.logical_dim, ident.logical_dim), dtype=complex)
-    return PipelineReport(scenario, input_desc, tuple(out_rows), logical,
-                          metrics, seed=seed, trials=trials)
+    return _report(ident, counts / float(trials), scenario, input_desc, logical,
+                   seed=seed, trials=trials)
 
 
 # --- concatenation ------------------------------------------------------------
@@ -337,6 +328,19 @@ def concat_recursion(p, C, levels: int, block: int = 3) -> ConcatenationResult:
         raise ValueError(f"p={p} outside [0, 1]")
     if c <= 0:
         raise ValueError("C must be positive")
+    # level L is C^(2^(L-1)-1) p^(2^(L-1)): with p = a/b and C = c/e in lowest
+    # terms, its numerator and denominator together have at most
+    # 2^(L-1) (bits(a) + bits(b)) + (2^(L-1) - 1) (bits(c) + bits(e)) bits;
+    # past 64 levels that is at least 2^64 bits, refused without forming 2^(L-1)
+    if levels > 64:
+        raise ValueError(f"{levels} levels need at least 2^64 bits of exact rationals, "
+                         f"over cap MAX_CONCAT_BITS={MAX_CONCAT_BITS}")
+    k = 2 ** (levels - 1)
+    bits = (k * (p.numerator.bit_length() + p.denominator.bit_length())
+            + (k - 1) * (c.numerator.bit_length() + c.denominator.bit_length()))
+    if bits > MAX_CONCAT_BITS:
+        raise ValueError(f"{levels} levels need up to {bits} bits of exact rationals, "
+                         f"over cap MAX_CONCAT_BITS={MAX_CONCAT_BITS}")
     iterated = [p]
     for _ in range(levels - 1):
         iterated.append(c * iterated[-1] ** 2)

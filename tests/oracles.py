@@ -1,13 +1,22 @@
-"""Dense reference constructions that the package's fast paths replaced.
+"""Reference constructions that the package's fast paths replaced.
 
-Each builds the same object the straightforward way, with Kronecker chains
-and projector products; tests compare the package against them exactly.
+Each builds the same object the straightforward way: Kronecker chains and
+projector products for Pauli words and codespaces, per-syndrome and
+per-branch loops for the pipeline outcome tables, and the average over the
+24-element rotation group for the Clifford twirl.  Tests compare the
+package against them.
 """
+
+import functools
+import itertools
+import math
 
 import numpy as np
 
-from qecdesk.codes import CodeSubspace
-from qecdesk.hilbert import StateVector
+from qecdesk.channels import KrausChannel, PauliChannel, depolarizing
+from qecdesk.codes import CodeSubspace, SubsystemIdentification
+from qecdesk.hilbert import ATOL_ALGEBRA, StateVector, exp_hermitian, pauli
+from qecdesk.pipelines import PipelineReport
 
 PAULI_1Q = (
     np.eye(2, dtype=complex),
@@ -44,3 +53,146 @@ def projector_codespace(stab) -> CodeSubspace:
         basis.append(StateVector((2,) * n, v))
         res -= np.outer(v, v.conj() @ res)
     return CodeSubspace((2,) * n, tuple(basis))
+
+
+def syndrome_loop_run(ident: SubsystemIdentification, channel: KrausChannel,
+                      psi_in: StateVector, psi_enc: np.ndarray, scenario: str,
+                      input_desc: str) -> PipelineReport:
+    """The exact outcome table, one syndrome block of W^dag rho W at a time.
+
+    Each syndrome gives an "ok" row (the block's overlap with the input,
+    clamped to [0, p]) and an "err" row (the rest); a partial W adds one
+    "fail" row, tr((I - W W^dag) rho).  logical_rho is the sum of the blocks
+    normalized by their weight: the logical state given acceptance.
+    """
+    if channel.dims != tuple(ident.physical_dims):
+        raise ValueError("channel dims do not match the code")
+    sigma, fail = ident.subsystem_matrix(channel.apply_pure(psi_enc))
+    psi, dl = psi_in.amplitudes, ident.logical_dim
+    rows = []
+    logical = np.zeros((dl, dl), dtype=complex)
+    success = error = 0.0
+    for s in range(ident.syndrome_dim):
+        block = sigma[s * dl:(s + 1) * dl, s * dl:(s + 1) * dl]
+        p = float(np.trace(block).real)
+        p_ok = min(max(float(np.real(np.vdot(psi, block @ psi))), 0.0), p)
+        label = ident.syndrome_label(s)
+        rows += [(label, "ok", p_ok), (label, "err", p - p_ok)]
+        logical += block
+        success += p_ok
+        error += p - p_ok
+    if not ident.is_complete():
+        rows.append(("fail", "", fail))
+    accepted = float(np.trace(logical).real)
+    if accepted > ATOL_ALGEBRA:
+        logical = logical / accepted
+    metrics = {"success": success, "error": error, "fail": fail}
+    return PipelineReport(scenario, input_desc, tuple(rows), logical, metrics)
+
+
+def branch_tables(ident: SubsystemIdentification, channel: KrausChannel,
+                  psi_enc: np.ndarray, psi_in: np.ndarray):
+    """Per channel branch: (branch probability, outcome distribution).
+
+    Outcomes are indexed into a shared row list [(syndrome, logical), ...,
+    ("fail", "")]; per-branch distributions are conditional on the branch.
+    """
+    dl = ident.logical_dim
+    w = ident.isometry.matrix
+    rows = []
+    for s in range(ident.syndrome_dim):
+        rows.append((ident.syndrome_label(s), "ok"))
+        rows.append((ident.syndrome_label(s), "err"))
+    rows.append(("fail", ""))
+    qs = []
+    dists = []
+    for v in itertools.chain.from_iterable(channel.branch_blocks(psi_enc)):
+        q = float(np.vdot(v, v).real)
+        qs.append(q)
+        if q <= 1e-30:
+            dists.append(np.zeros(len(rows)))
+            continue
+        v = v / math.sqrt(q)
+        sub = w.conj().T @ v
+        dist = np.zeros(len(rows))
+        for s in range(ident.syndrome_dim):
+            block = sub[s * dl:(s + 1) * dl]
+            p_s = float(np.vdot(block, block).real)
+            p_ok = abs(np.vdot(psi_in, block)) ** 2
+            dist[2 * s] = min(p_ok, p_s)
+            dist[2 * s + 1] = p_s - dist[2 * s]
+        dist[-1] = max(1.0 - dist.sum(), 0.0)
+        dists.append(dist)
+    return rows, np.array(qs), np.vstack(dists)
+
+
+_SIGMA = {u: pauli(u).matrix for u in "IXYZ"}
+
+
+def _canonical_phase(m: np.ndarray) -> np.ndarray:
+    flat = m.reshape(-1)
+    idx = int(np.argmax(np.abs(flat) > 1e-6))
+    z = flat[idx]
+    return m * (z.conjugate() / abs(z))
+
+
+@functools.cache
+def rotation_group() -> list[np.ndarray]:
+    """The 24 single-qubit rotations generated by 90-degree x/y/z turns."""
+    # quarter turns exp(-i sigma_u pi/4) around each axis generate all 24
+    gens = [
+        exp_hermitian(pauli(u), math.pi / 4.0).matrix for u in "XYZ"
+    ]
+    def key(m):
+        c = _canonical_phase(m)
+        return tuple(np.round(c.reshape(-1), 9).view(float))
+    seen = {key(np.eye(2, dtype=complex)): np.eye(2, dtype=complex)}
+    frontier = [np.eye(2, dtype=complex)]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                p = g @ m
+                k = key(p)
+                if k not in seen:
+                    seen[k] = _canonical_phase(p)
+                    nxt.append(p)
+        frontier = nxt
+    group = list(seen.values())
+    if len(group) != 24:
+        raise RuntimeError(f"rotation group closure found {len(group)} elements")
+    return group
+
+
+def group_average_twirl(pch: PauliChannel) -> KrausChannel:
+    """Average a Pauli channel over the 24-element rotation group.
+
+    The average equalizes the three non-identity probabilities, so the result
+    is depolarizing with p = (4/3)(p_X + p_Y + p_Z).
+    """
+    if pch.n != 1:
+        raise ValueError("clifford_twirl is defined for single-qubit channels")
+    p_in = {u: pch.probability(u) for u in "IXYZ"}
+    acc = {u: 0.0 for u in "XYZ"}
+    group = rotation_group()
+    for r in group:
+        for v in "XYZ":
+            conj = r @ _SIGMA[v] @ r.conj().T
+            for u in "XYZ":
+                c = np.trace(_SIGMA[u] @ conj) / 2.0
+                if abs(abs(c) - 1.0) < 1e-9:
+                    acc[u] += p_in[v] / len(group)
+                    break
+            else:
+                raise RuntimeError("rotation did not permute the Pauli axes")
+    s = math.fsum(acc.values())
+    spread = max(acc.values()) - min(acc.values())
+    if spread > 1e-12:
+        raise RuntimeError(f"group average left spread {spread}")
+    p = 4.0 * s / 3.0
+    if p <= 1.0:
+        return depolarizing(p)
+    # heavier-than-uniform noise has no sqrt(1-p) branch; fall back to kicks
+    return PauliChannel(
+        1, {"I": 1.0 - s, "X": s / 3.0, "Y": s / 3.0, "Z": s / 3.0}
+    ).as_kraus()

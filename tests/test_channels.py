@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_density, rand_state, rand_unitary
+from oracles import group_average_twirl, rotation_group
 from qecdesk.channels import (
     KrausChannel,
     MAX_KRAUS_OPS,
@@ -25,7 +26,6 @@ from qecdesk.channels import (
     identity_channel,
     parse_channel_spec,
     remix_labels,
-    rotation_group,
     tensor_channels,
     tensor_independent,
     twirl,
@@ -549,6 +549,26 @@ def test_clifford_twirl_heavy_noise_falls_back_to_kicks():
     for u in "XYZ":
         assert t.probability(u) == pytest.approx(0.3, abs=1e-12)
     assert t.probability("I") == pytest.approx(0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("probs", [
+    {"I": 1.0},
+    {"I": 0.8, "X": 0.15, "Y": 0.03, "Z": 0.02},
+    {"I": 0.5, "Z": 0.5},
+    {"I": 0.25, "X": 0.25, "Y": 0.25, "Z": 0.25},
+    {"I": 0.1, "X": 0.9},
+    {"X": 0.2, "Y": 0.3, "Z": 0.5},
+])
+def test_clifford_twirl_matches_the_group_average(probs):
+    """The closed form equals the average over the 24 rotations, the
+    heavy-noise (p > 1) fallback to X/Y/Z kicks included.  The channels are
+    compared by their Pauli probabilities: at p = 1 the sqrt(1 - p) operator
+    turns a rounding of 1e-16 into 1e-8."""
+    pch = PauliChannel(1, probs)
+    got, want = clifford_twirl(pch), group_average_twirl(pch)
+    assert got.labels() == want.labels()
+    for u in "IXYZ":
+        assert abs(twirl(got).probability(u) - twirl(want).probability(u)) <= 1e-15
 
 
 def test_identity_channel_is_identity():

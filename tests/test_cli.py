@@ -315,6 +315,24 @@ def test_domain_errors_exit_64(capsys):
     capsys.readouterr()
 
 
+def test_table_output_shows_the_rounded_json_values(capsys):
+    # 4 * 0.3 / 4 / 3 is 0.07499999999999998 in floats; JSON and table round once
+    code, data = run_json(capsys, ["twirl", "--channel", "depolarizing p=0.3"])
+    assert data["probs"]["X"] == 0.075
+    code, out = run(capsys, ["twirl", "--channel", "depolarizing p=0.3", "--table"])
+    assert code == 0
+    assert "  X = 0.075\n" in out and "depolarizing_p = 0.3\n" in out
+
+
+def test_concat_levels_past_the_bit_cap_exit_64(capsys):
+    for levels in ("20", "30", "1000000000"):
+        assert main(["concat", "--p", "1e-3", "--C", "100",
+                     "--levels", levels]) == USAGE_EXIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "MAX_CONCAT_BITS" in captured.err
+
+
 def test_non_finite_numbers_are_refused(capsys):
     assert main(["simulate", "--code", "repetition3",
                  "--channel", "independent n=3 bitflip p=0.25",

@@ -24,10 +24,8 @@ from qecdesk.fidelity import (
     bad_branch_probability,
     entanglement_fidelity,
     error_estimate_pure,
-    fidelity_mixed,
-    mixture_error,
 )
-from qecdesk.hilbert import DensityOperator, LinearOperator, StateVector, basis_state
+from qecdesk.hilbert import LinearOperator, StateVector, basis_state
 
 PLUS = StateVector((2,), np.array([1.0, 1.0]) / math.sqrt(2))
 
@@ -57,22 +55,6 @@ def test_error_estimate_subnormalized_branch():
     assert est.epsilon == pytest.approx(0.09 - abs(est.gamma) ** 2)
     with pytest.raises(ValueError):
         error_estimate_pure(basis_state((3,), 0), PLUS)
-
-
-def test_mixture_error_worked_branch():
-    # a branch of weight 5e-4 decoded to the wrong logical state contributes
-    # half its weight against the |+> reference
-    wrong = basis_state((2,), 1)
-    assert mixture_error([(0.0005, wrong)], PLUS) == pytest.approx(0.00025, abs=1e-12)
-    assert mixture_error([(0.5, PLUS), (0.5, wrong)], PLUS) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        mixture_error([(-0.1, wrong)], PLUS)
-
-
-def test_fidelity_mixed():
-    rho = DensityOperator((2,), np.diag([0.75, 0.25]))
-    assert fidelity_mixed(rho, basis_state((2,), 0)) == pytest.approx(0.75)
-    assert fidelity_mixed(rho, PLUS) == pytest.approx(0.5)
 
 
 def test_entanglement_fidelity_depolarizing():

@@ -7,18 +7,27 @@ import numpy as np
 import pytest
 
 from conftest import rand_state, rand_unitary
-from qecdesk.analysis import synthesize_decoder, weight_le_errors
+from oracles import branch_tables, syndrome_loop_run
+from qecdesk.analysis import (
+    correctable_quantum,
+    decoder_identification,
+    synthesize_decoder,
+    weight_le_errors,
+    weight_le_words,
+)
 from qecdesk.channels import (
     KrausChannel,
     bit_flip,
     collective_rotation,
     collective_spin,
     depolarizing,
+    gaussian_shift,
     gaussian_shift_probabilities,
     identity_channel,
     tensor_channels,
     tensor_independent,
 )
+from qecdesk.cli import _round
 from qecdesk.codes import (
     CodeSubspace,
     builtin_code,
@@ -28,11 +37,14 @@ from qecdesk.codes import (
     stabilizer_codespace,
     syndrome_reset,
     three_spin_noiseless,
+    trivial_two_qubit,
 )
 from qecdesk.gf2_symplectic import PauliProduct, StabilizerGeneratorSet, identity_word
 from qecdesk.hilbert import DensityOperator, StateVector, basis_state
 from qecdesk.pipelines import (
     REPORTED_THRESHOLDS,
+    _branches,
+    _code_decoder,
     concat_recursion,
     run_corrected,
     run_cyclic,
@@ -299,6 +311,88 @@ def test_run_corrected_matches_dense_recovery_oracle(name):
                                                            abs=1e-12)
 
 
+def table_case(name):
+    """(identification, noise, code) for each case checked against the loop
+    oracles; code is None where run_exact encodes by the identification, and
+    otherwise the subspace that run_corrected encodes into."""
+    rep = repetition_quantum()
+    if name == "repetition3/bitflip^3":
+        return rep, tensor_independent(bit_flip(0.25), 3), None
+    if name == "repetition3/depolarizing^3":
+        return rep, tensor_independent(depolarizing(0.2), 3), None
+    if name == "repetition3/zero-mass-branches":
+        return rep, tensor_channels(bit_flip(0.0), depolarizing(0.2), bit_flip(0.3)), None
+    if name == "cyclic7/gaussian7":
+        return cyclic7(), gaussian_shift(7, 20), None
+    if name == "threespin/rotation":
+        return three_spin_noiseless(), collective_rotation((0.3, -0.7, 1.1)), None
+    if name == "threespin/bitflip^3":
+        return three_spin_noiseless(), tensor_independent(bit_flip(0.1), 3), None
+    if name == "trivial2/depolarizing^2":
+        return trivial_two_qubit(), tensor_independent(depolarizing(0.3), 2), None
+    code = builtin_code("fivequbit").subspace
+    noise = tensor_independent(depolarizing(0.1), 5)
+    if name == "five/identification":
+        verdict = correctable_quantum(code, weight_le_words(5, 1))
+        return decoder_identification(code, verdict), noise, code
+    _, recovery = synthesize_decoder(code, weight_le_errors(5, 1))
+    return _code_decoder(code, recovery), noise, code
+
+
+TABLE_CASES = ["repetition3/bitflip^3", "repetition3/depolarizing^3",
+               "repetition3/zero-mass-branches", "cyclic7/gaussian7",
+               "threespin/rotation", "threespin/bitflip^3", "trivial2/depolarizing^2",
+               "five/identification", "five/recovery"]
+
+
+def table_inputs(ident, code, seed):
+    """Two Haar inputs as (state, encoded amplitudes)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        psi = StateVector((ident.logical_dim,), rand_state(rng, ident.logical_dim))
+        enc = ident.encode(psi).amplitudes if code is None else code.basis_matrix() @ psi.amplitudes
+        yield psi, enc
+
+
+@pytest.mark.parametrize("name", TABLE_CASES)
+def test_exact_tables_match_the_syndrome_loop_oracle(name):
+    ident, noise, code = table_case(name)
+    for psi, enc in table_inputs(ident, code, 55):
+        if code is None:
+            report = run_exact(ident, noise, psi)
+        else:
+            report = run_corrected(code, ident, noise, psi)
+        oracle = syndrome_loop_run(ident, noise, psi, enc, "", "")
+        assert [(s, l) for s, l, _ in report.outcomes] == \
+            [(s, l) for s, l, _ in oracle.outcomes]
+        for (_, _, got), (_, _, want) in zip(report.outcomes, oracle.outcomes):
+            assert abs(got - want) <= 1e-15, name
+        assert np.abs(report.logical_rho - oracle.logical_rho).max() <= 1e-15
+        assert report.metrics.keys() == oracle.metrics.keys()
+        for k, want in oracle.metrics.items():
+            assert abs(report.metrics[k] - want) <= 1e-15, (name, k)
+
+
+@pytest.mark.parametrize("name", TABLE_CASES)
+def test_branch_tables_match_the_per_branch_oracle(name):
+    """Branch masses and per-branch outcome tables against the per-branch,
+    per-syndrome loop; a Monte Carlo run lists the oracle's rows, with the
+    fail row only for a partial W."""
+    ident, noise, code = table_case(name)
+    for psi, enc in table_inputs(ident, code, 56):
+        rows, qs_want, tables_want = branch_tables(ident, noise, enc, psi.amplitudes)
+        qs, tables = _branches(ident, noise, psi.amplitudes, enc)
+        assert qs.shape == qs_want.shape and tables.shape == tables_want.shape
+        assert np.abs(qs - qs_want).max() <= 1e-15
+        assert np.abs(tables - tables_want).max() <= 1e-15
+        if name == "repetition3/zero-mass-branches":
+            assert (qs_want <= 1e-30).sum() == len(qs) // 2  # the bit_flip(0.0) "x" half
+        if code is None:
+            mc = run_monte_carlo(ident, noise, psi, trials=100, seed=1)
+            listed = rows if not ident.is_complete() else rows[:-1]
+            assert [(s, l) for s, l, _ in mc.outcomes] == listed
+
+
 def test_run_corrected_refuses_decoders_that_do_not_fit_the_code():
     code = five_qubit()[1]
     half = math.sqrt(0.5) * np.eye(32, dtype=complex)
@@ -391,7 +485,7 @@ def test_report_json_layout():
     rep = repetition_quantum()
     ch = tensor_independent(bit_flip(0.25), 3)
     report = run_exact(rep, ch, basis_state((2,), 0), input_desc="|0>")
-    data = report.to_json(ndigits=4)
+    data = _round(report.to_json(), 4)
     assert list(data.keys()) == ["scenario", "input", "outcomes", "logical_rho",
                                  "metrics"]
     assert data["outcomes"][0] == {"syndrome": "00", "logical": "ok", "p": 0.4219}
@@ -443,6 +537,20 @@ def test_concat_guards():
         concat_recursion(1.5, 10, levels=3)
     with pytest.raises(ValueError):
         concat_recursion(0.5, 0, levels=3)
+
+
+def test_concat_levels_are_refused_by_their_bit_count():
+    # p = 1/1000, C = 100: 18 levels need 2,490,360 bits, 19 levels 4,980,728
+    for levels in (19, 20, 30, 65, 10**9):
+        with pytest.raises(ValueError, match="over cap MAX_CONCAT_BITS"):
+            concat_recursion(Fraction(1, 1000), 100, levels=levels)
+    # the bound covers the exact rationals it admits
+    for p, c in ((Fraction(1, 1000), Fraction(100)), (Fraction(2, 31), Fraction(5, 4)),
+                 (Fraction(3, 17), Fraction(7, 2))):
+        last = concat_recursion(p, c, levels=10).levels_exact[-1]
+        bits = last.numerator.bit_length() + last.denominator.bit_length()
+        assert bits <= 2 ** 9 * (p.numerator.bit_length() + p.denominator.bit_length()) \
+            + (2 ** 9 - 1) * (c.numerator.bit_length() + c.denominator.bit_length())
 
 
 def test_reported_thresholds_present():
