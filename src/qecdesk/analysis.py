@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import MAX_KRAUS_BYTES, KrausChannel
+from .channels import KrausChannel
 from .codes import ClassicalCode, CodeSubspace, SubsystemIdentification
 from .gf2_symplectic import PauliProduct, _first_weight, _pauli_words, identity_word
 from .hilbert import (
     ATOL_ALGEBRA,
     ATOL_EIG,
     LinearOperator,
+    admit,
     to_json_array,
 )
 
@@ -92,7 +93,7 @@ class DetectVerdict:
     def to_json(self) -> dict:
         return {
             "detectable": self.detectable,
-            "lambda": [float(self.lam.real), float(self.lam.imag)],
+            "lambda": to_json_array(self.lam),
         }
 
 
@@ -119,10 +120,8 @@ def admit_error_count(code: CodeSubspace, m: int) -> None:
     the Gram matrix with its residual temporaries (3 (mk)^2), at 16 bytes a
     complex entry."""
     mk = m * code.dim
-    need = 16 * (code.physical_dim * mk + 3 * mk * mk)
-    if need > MAX_KRAUS_BYTES:
-        raise ValueError(f"{m} errors on this code need {need} bytes for the "
-                         f"Knill-Laflamme Gram matrix, over cap MAX_KRAUS_BYTES={MAX_KRAUS_BYTES}")
+    admit(f"Knill-Laflamme check of {m} errors on this code",
+          nbytes=16 * (code.physical_dim * mk + 3 * mk * mk))
 
 
 def _times_code(e, c: np.ndarray, label: str) -> np.ndarray:
@@ -285,10 +284,8 @@ def weight_le_words(n: int, max_weight: int = 1) -> list[tuple[str, PauliProduct
 
 def weight_le_errors(n: int, max_weight: int = 1) -> list[tuple[str, np.ndarray]]:
     """weight_le_words as dense matrices, refused past MAX_KRAUS_BYTES unbuilt."""
-    need = weight_le_count(n, max_weight) * 4 ** n * 16
-    if need > MAX_KRAUS_BYTES:
-        raise ValueError(f"dense weight-{max_weight} errors on {n} qubits need {need} bytes, "
-                         f"over cap MAX_KRAUS_BYTES={MAX_KRAUS_BYTES}")
+    admit(f"dense weight-{max_weight} errors on {n} qubits",
+          nbytes=weight_le_count(n, max_weight) * 4 ** n * 16)
     return [(label, word.dense()) for label, word in weight_le_words(n, max_weight)]
 
 

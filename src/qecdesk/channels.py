@@ -27,20 +27,16 @@ import numpy as np
 from .gf2_symplectic import PauliProduct
 from .hilbert import (
     ATOL_ALGEBRA,
-    MAX_TOTAL_DIM,
+    MAX_KRAUS_OPS,  # noqa: F401  (read as qecdesk.channels.MAX_KRAUS_OPS)
     DensityOperator,
     LinearOperator,
     StateVector,
     _check_dims,
+    admit,
     exp_hermitian,
     pauli,
     tensor,
 )
-
-MAX_KRAUS_OPS = 4096
-# bytes of the operators of one product channel, refused before allocation:
-# the operator and dimension caps alone admit 1,024 operators of 1,024 x 1,024
-MAX_KRAUS_BYTES = 2 ** 30
 
 # complex entries per stacked operator block and per temporary that walks one:
 # freed arrays of several MiB make glibc raise its mmap threshold and keep the
@@ -117,8 +113,7 @@ class KrausChannel:
         d = self.dim
         if not labels:
             raise ValueError("channel needs at least one operator")
-        if len(labels) > MAX_KRAUS_OPS:
-            raise ValueError(f"{len(labels)} operators exceed cap MAX_KRAUS_OPS={MAX_KRAUS_OPS}")
+        admit("channel", ops=len(labels))
         if len(set(labels)) != len(labels):
             seen = set()
             dup = next(l for l in labels if l in seen or seen.add(l))
@@ -248,8 +243,7 @@ def gaussian_shift(dim: int = 7, K: int = 20) -> KrausChannel:
         raise ValueError("dim must be at least 2")
     if K < 2:
         raise ValueError("K must be at least 2")
-    if 2 * K + 1 > MAX_KRAUS_OPS:
-        raise ValueError(f"K={K} gives {2 * K + 1} shifts, over cap MAX_KRAUS_OPS={MAX_KRAUS_OPS}")
+    admit(f"gaussian shift K={K}", ops=2 * K + 1)
     ops = tuple(
         (str(k), math.sqrt(p) * cyclic_shift(dim, k))
         for k, p in gaussian_shift_probabilities(K).items()
@@ -336,13 +330,9 @@ def tensor_channels(*channels: KrausChannel) -> KrausChannel:
         return channels[0]
     shape = tuple(len(ch.ops) for ch in channels)
     count = math.prod(shape)
-    if count > MAX_KRAUS_OPS:
-        raise ValueError(f"{count} operators exceed cap MAX_KRAUS_OPS={MAX_KRAUS_OPS}")
-    dims = _check_dims(sum((ch.dims for ch in channels), ()))
+    dims = sum((ch.dims for ch in channels), ())
     d = math.prod(dims)
-    if count * d * d * 16 > MAX_KRAUS_BYTES:
-        raise ValueError(f"{count} operators of dimension {d} take {count * d * d * 16} bytes, "
-                         f"over cap MAX_KRAUS_BYTES={MAX_KRAUS_BYTES}")
+    admit(f"{count} operators of dimension {d}", ops=count, dim=d, nbytes=count * d * d * 16)
     names = [ch.labels() for ch in channels]
     sep = "" if all(len(l) == 1 for ls in names for l in ls) else ","
     labels = [sep.join(combo) for combo in itertools.product(*names)]
@@ -390,14 +380,8 @@ def tensor_independent(ch: KrausChannel, n: int) -> KrausChannel:
     """The same channel acting independently on each of n copies."""
     if n < 1:
         raise ValueError("n must be positive")
-    # k, d >= 2 make k**n and d**n at least 2**65, past either cap: such n is
-    # refused by arithmetic before [ch] * n exists; tensor_channels checks
-    # smaller n exactly
-    if n > 64 and len(ch.ops) > 1:
-        raise ValueError(f"{len(ch.ops)}**{n} operators exceed cap MAX_KRAUS_OPS={MAX_KRAUS_OPS}")
-    if n > 64 and ch.dim > 1:
-        raise ValueError(f"total dimension {ch.dim}**{n} exceeds cap "
-                         f"MAX_TOTAL_DIM={MAX_TOTAL_DIM}")
+    # k**n and d**n are admitted before [ch] * n exists
+    admit(f"independent n={n}", ops=(len(ch.ops), n), dim=(ch.dim, n))
     return tensor_channels(*([ch] * n))
 
 

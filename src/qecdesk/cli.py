@@ -34,7 +34,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _round(obj, ndigits=10):
     if isinstance(obj, float):
-        return round(obj, ndigits) + 0.0  # -0.0 + 0.0 is 0.0
+        # float() first: round() of an np.float64 stays an np.float64
+        return round(float(obj), ndigits) + 0.0  # -0.0 + 0.0 is 0.0
     if isinstance(obj, dict):
         return {k: _round(v, ndigits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -18,10 +18,10 @@ import numpy as np
 from .gf2_symplectic import StabilizerGeneratorSet
 from .hilbert import (
     ATOL_ALGEBRA,
-    MAX_TOTAL_DIM,
     DensityOperator,
     LinearOperator,
     StateVector,
+    _check_dims,
     from_json_array,
 )
 
@@ -319,9 +319,8 @@ def stabilizer_codespace(stab: StabilizerGeneratorSet) -> CodeSubspace:
     raise.
     """
     n = stab.n
+    _check_dims((2,) * n, f"{n}-qubit codespace")
     d = 2 ** n
-    if d > MAX_TOTAL_DIM:
-        raise ValueError(f"{n}-qubit codespace: dimension {d} exceeds cap {MAX_TOTAL_DIM}")
     p = np.eye(d, dtype=complex)
     for g in stab.generators:
         p += g.apply(p)

@@ -9,6 +9,7 @@ read-only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,18 +23,43 @@ ATOL_ALGEBRA = 1e-9
 ATOL_EIG = 1e-8
 ATOL_REPORTED = 1e-4
 
-# Dense-only backend: refuse tensor products past this total dimension.
-MAX_TOTAL_DIM = 2**10
+# Caps of the dense backend, each checked by admit before anything is built:
+MAX_TOTAL_DIM = 2**10  # total dimension of one tensor-product space
+MAX_KRAUS_OPS = 4096  # operators of one channel
+# bytes of one product channel, dense error set or Knill-Laflamme working set
+# (the two caps above alone admit 1,024 operators of 1,024 x 1,024: 16 GiB)
+MAX_KRAUS_BYTES = 2**30
+# bits of one exact concatenation level (p = 1e-3, C = 100: 18 levels, 2.5 Mbit)
+MAX_CONCAT_BITS = 2**22
+_CAPS = {"dim": ("MAX_TOTAL_DIM", "dimension"), "ops": ("MAX_KRAUS_OPS", "operator count"),
+         "nbytes": ("MAX_KRAUS_BYTES", "byte count"), "bits": ("MAX_CONCAT_BITS", "bit count")}
 
 
-def _check_dims(dims: tuple[int, ...]) -> tuple[int, ...]:
+def admit(what: str, **need) -> None:
+    """Refuse `what` with a ValueError if an amount it needs passes its cap.
+
+    Each keyword (dim, ops, nbytes, bits) gives an int or a power (base, exp).
+    base**exp >= 2**exp, so a power whose exponent alone passes the cap is
+    refused unformed and printed as base**exp; any other amount is compared
+    as a number.  The message names what, the amount and NAME=value of the cap.
+    """
+    for kind, amount in need.items():
+        name, unit = _CAPS[kind]
+        cap = globals()[name]
+        if isinstance(amount, tuple):
+            base, exp = amount
+            if base > 1 and exp > cap.bit_length():
+                raise ValueError(f"{what}: {unit} {base}**{exp} exceeds cap {name}={cap}")
+            amount = base ** exp
+        if amount > cap:
+            raise ValueError(f"{what}: {unit} {amount} exceeds cap {name}={cap}")
+
+
+def _check_dims(dims: tuple[int, ...], what: str = "tensor product") -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"invalid subsystem dimensions {dims}")
-    if math.prod(dims) > MAX_TOTAL_DIM:
-        raise ValueError(
-            f"total dimension {math.prod(dims)} exceeds cap MAX_TOTAL_DIM={MAX_TOTAL_DIM}"
-        )
+    admit(what, dim=math.prod(dims))
     return dims
 
 
@@ -197,32 +223,21 @@ def pauli(u: str) -> LinearOperator:
 
 
 def tensor(*factors):
-    """Kronecker product of states or operators; first factor most significant."""
+    """Kronecker product of states or operators, first factor most significant,
+    admitted by its dimensions before the first np.kron."""
     if not factors:
         raise ValueError("tensor of nothing")
-    if all(isinstance(f, StateVector) for f in factors):
-        amps = factors[0].amplitudes
-        dims = factors[0].dims
-        for f in factors[1:]:
-            amps = np.kron(amps, f.amplitudes)
-            dims = dims + f.dims
-        return StateVector(dims, amps)
-    if all(isinstance(f, DensityOperator) for f in factors):
-        m = factors[0].matrix
-        dims = factors[0].dims
-        for f in factors[1:]:
-            m = np.kron(m, f.matrix)
-            dims = dims + f.dims
-        return DensityOperator(dims, m)
-    if all(isinstance(f, LinearOperator) for f in factors):
-        m = factors[0].matrix
-        din, dout = factors[0].dims_in, factors[0].dims_out
-        for f in factors[1:]:
-            m = np.kron(m, f.matrix)
-            din = din + f.dims_in
-            dout = dout + f.dims_out
-        return LinearOperator(din, dout, m)
-    raise TypeError("tensor factors must all be states, densities, or operators")
+    kind = type(factors[0])
+    if kind not in (StateVector, DensityOperator, LinearOperator) or \
+            not all(isinstance(f, kind) for f in factors):
+        raise TypeError("tensor factors must all be states, densities, or operators")
+    if kind is LinearOperator:
+        din = _check_dims(sum((f.dims_in for f in factors), ()))
+        dout = _check_dims(sum((f.dims_out for f in factors), ()))
+        return LinearOperator(din, dout, functools.reduce(np.kron, (f.matrix for f in factors)))
+    dims = _check_dims(sum((f.dims for f in factors), ()))
+    data = (f.amplitudes if kind is StateVector else f.matrix for f in factors)
+    return kind(dims, functools.reduce(np.kron, data))
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:

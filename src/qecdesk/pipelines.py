@@ -27,7 +27,7 @@ from .channels import (
     gaussian_shift_probabilities,
 )
 from .codes import CodeSubspace, SubsystemIdentification, cyclic7
-from .hilbert import ATOL_ALGEBRA, LinearOperator, StateVector
+from .hilbert import ATOL_ALGEBRA, LinearOperator, StateVector, admit, to_json_array
 
 # Reference threshold estimates for fault-tolerant operation, quoted from the
 # survey literature for orientation only; nothing in this package derives them.
@@ -37,10 +37,6 @@ REPORTED_THRESHOLDS = {
     "erasure": 1e-2,
     "known_basis_measurement": 1.0,
 }
-
-# bits of one exact level in concat_recursion, checked before any power is
-# formed: p = 1e-3 with C = 100 admits 18 levels (2.5 Mbit, about 3 s)
-MAX_CONCAT_BITS = 2 ** 22
 
 PLUS = StateVector((2,), np.array([1.0, 1.0]) / math.sqrt(2.0))
 
@@ -70,9 +66,7 @@ class PipelineReport:
             "outcomes": [
                 {"syndrome": s, "logical": l, "p": float(p)} for s, l, p in self.outcomes
             ],
-            "logical_rho": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.logical_rho
-            ],
+            "logical_rho": to_json_array(self.logical_rho),
             "metrics": {k: float(v) for k, v in self.metrics.items()},
         }
         if self.seed is not None:
@@ -297,9 +291,14 @@ class ConcatenationResult:
     C: Fraction
     block: int
     levels_exact: tuple[Fraction, ...]
-    closed_form_exact: tuple[Fraction, ...]
     resources: tuple[int, ...]
     improving: bool
+
+    @property
+    def closed_form_exact(self) -> tuple[Fraction, ...]:
+        """The levels again from p_j = C^(2^(j-1)-1) p^(2^(j-1)), as a check."""
+        return tuple(self.C ** (2 ** (j - 1) - 1) * self.p ** (2 ** (j - 1))
+                     for j in range(1, len(self.levels_exact) + 1))
 
     @property
     def levels(self) -> tuple[float, ...]:
@@ -328,24 +327,17 @@ def concat_recursion(p, C, levels: int, block: int = 3) -> ConcatenationResult:
         raise ValueError(f"p={p} outside [0, 1]")
     if c <= 0:
         raise ValueError("C must be positive")
-    # level L is C^(2^(L-1)-1) p^(2^(L-1)): with p = a/b and C = c/e in lowest
-    # terms, its numerator and denominator together have at most
-    # 2^(L-1) (bits(a) + bits(b)) + (2^(L-1) - 1) (bits(c) + bits(e)) bits;
-    # past 64 levels that is at least 2^64 bits, refused without forming 2^(L-1)
-    if levels > 64:
-        raise ValueError(f"{levels} levels need at least 2^64 bits of exact rationals, "
-                         f"over cap MAX_CONCAT_BITS={MAX_CONCAT_BITS}")
+    # level L is C^(k-1) p^k for k = 2^(L-1): with p = a/b and C = c/e in
+    # lowest terms, its numerator and denominator together have at most
+    # k (bits(a) + bits(b)) + (k - 1) (bits(c) + bits(e)) bits, which is at
+    # least k, so k is admitted as a power before it is formed
+    what = f"{levels} levels of exact rationals"
+    admit(what, bits=(2, levels - 1))
     k = 2 ** (levels - 1)
-    bits = (k * (p.numerator.bit_length() + p.denominator.bit_length())
-            + (k - 1) * (c.numerator.bit_length() + c.denominator.bit_length()))
-    if bits > MAX_CONCAT_BITS:
-        raise ValueError(f"{levels} levels need up to {bits} bits of exact rationals, "
-                         f"over cap MAX_CONCAT_BITS={MAX_CONCAT_BITS}")
+    admit(what, bits=k * (p.numerator.bit_length() + p.denominator.bit_length())
+          + (k - 1) * (c.numerator.bit_length() + c.denominator.bit_length()))
     iterated = [p]
     for _ in range(levels - 1):
         iterated.append(c * iterated[-1] ** 2)
-    closed = [c ** (2 ** (j - 1) - 1) * p ** (2 ** (j - 1)) for j in range(1, levels + 1)]
     resources = tuple(block ** (j - 1) for j in range(1, levels + 1))
-    return ConcatenationResult(
-        p, c, block, tuple(iterated), tuple(closed), resources, improving=p < 1 / c
-    )
+    return ConcatenationResult(p, c, block, tuple(iterated), resources, improving=p < 1 / c)

@@ -304,10 +304,10 @@ def test_products_past_the_dimension_cap_are_refused_before_building():
 def test_product_bytes_are_capped(monkeypatch):
     # with the cap at 1 MiB: 32 operators of 32 x 32 (512 KiB) pass, 64 of
     # 64 x 64 (4 MiB) are refused by arithmetic, naming the bytes and the cap
-    monkeypatch.setattr("qecdesk.channels.MAX_KRAUS_BYTES", 2 ** 20)
+    monkeypatch.setattr("qecdesk.hilbert.MAX_KRAUS_BYTES", 2 ** 20)
     assert len(tensor_independent(bit_flip(0.1), 5).ops) == 32
-    with pytest.raises(ValueError, match="64 operators of dimension 64 take 4194304 bytes, "
-                                         "over cap MAX_KRAUS_BYTES=1048576"):
+    with pytest.raises(ValueError, match="64 operators of dimension 64: byte count 4194304 "
+                                         "exceeds cap MAX_KRAUS_BYTES=1048576"):
         tensor_independent(bit_flip(0.1), 6)
 
 
@@ -416,12 +416,12 @@ def test_huge_spec_products_are_refused_by_arithmetic():
     # k**n and 2K+1 are compared with the caps before any list is built; the
     # sizes here are small enough that a missing check still fails safely
     # (tests/test_cli.py runs n=10**9 and K=10**8 under an address-space limit)
-    with pytest.raises(ValueError, match=r"2\*\*65 operators exceed cap MAX_KRAUS_OPS"):
+    with pytest.raises(ValueError, match=r"operator count 2\*\*65 exceeds cap MAX_KRAUS_OPS"):
         tensor_independent(bit_flip(0.1), 65)
     unitary = collective_rotation((0.1, 0.2, 0.3))  # one operator: the dimension refuses it
     with pytest.raises(ValueError, match=r"8\*\*65 exceeds cap MAX_TOTAL_DIM"):
         tensor_independent(unitary, 65)
-    with pytest.raises(ValueError, match="K=2048 gives 4097 shifts, over cap MAX_KRAUS_OPS"):
+    with pytest.raises(ValueError, match="K=2048: operator count 4097 exceeds cap MAX_KRAUS_OPS"):
         gaussian_shift(7, 2048)
     assert len(gaussian_shift(7, 2047).ops) == MAX_KRAUS_OPS - 1
 

@@ -217,6 +217,14 @@ def test_noiseless_verdict(capsys):
     assert data["max_logical_block_deviation"] <= 1e-8
 
 
+def test_table_output_prints_numpy_floats_as_floats(capsys):
+    # round() of an np.float64 stays an np.float64, whose repr names its type
+    for argv in (["noiseless", "--rotations", "1"], ["demo", "three-spin"]):
+        code, out = run(capsys, argv + ["--table"])
+        assert code == 0
+        assert "overlaps = [1.0, " in out and "np.float64" not in out
+
+
 def test_concat_exit_codes(capsys):
     code, data = run_json(capsys, ["concat", "--p", "1e-3", "--C", "100"])
     assert code == 0
@@ -428,7 +436,7 @@ def test_oversized_words_and_error_sets_are_refused_before_allocation(tmp_path):
         (["check", "--code", "repetition3", "--errors", "X" * 20],
          ["has shape (1048576, 1048576), but the code needs (8, 8)"]),
         (["check", "--code", str(path), "--errors", "weight5"],
-         ["81922 errors on this code need", "MAX_KRAUS_BYTES=1073741824"]),
+         ["81922 errors on this code: byte count", "MAX_KRAUS_BYTES=1073741824"]),
     ):
         done = subprocess.run([sys.executable, "-m", "qecdesk.cli", *argv], env=env,
                               preexec_fn=limit, capture_output=True, text=True, timeout=60)

@@ -283,7 +283,8 @@ def test_parse_stabilizer_text_skips_the_codespace():
     stab = parse_stabilizer_text(text)
     assert stab.n == 12 and stab.rank() == 11
     # building the codespace is refused before the 4096 x 4096 allocation
-    with pytest.raises(ValueError, match="exceeds cap"):
+    with pytest.raises(ValueError, match="12-qubit codespace: dimension 4096 "
+                                         "exceeds cap MAX_TOTAL_DIM=1024"):
         parse_code_text(text)
     with pytest.raises(ValueError):
         parse_stabilizer_text("basis:\n[[1, 0], [0, 0]]")

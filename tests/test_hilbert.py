@@ -1,17 +1,23 @@
 """States, densities, operators: construction guards and tensor plumbing."""
 
+import ast
 import math
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import qecdesk
 from conftest import rand_density, rand_state, rand_unitary
+from qecdesk.channels import collective_spin
 from qecdesk.gf2_symplectic import PauliProduct
 from qecdesk.hilbert import (
     DensityOperator,
     LinearOperator,
     MAX_TOTAL_DIM,
     StateVector,
+    admit,
     basis_state,
     exp_hermitian,
     from_json_array,
@@ -116,6 +122,54 @@ def test_total_dimension_cap():
         basis_state((2,) * 11, 0)
     # at the cap is fine
     basis_state((2,) * 10, 0)
+
+
+def test_admit_names_the_amount_and_the_cap():
+    admit("fits", dim=MAX_TOTAL_DIM, ops=(2, 12), nbytes=0, bits=(1, 10 ** 18))
+    with pytest.raises(ValueError, match=r"^big: dimension 2048 exceeds cap MAX_TOTAL_DIM=1024$"):
+        admit("big", dim=(2, 11))
+    # the first amount past its cap is the one named
+    with pytest.raises(ValueError, match=r"^x: operator count 4097 exceeds cap MAX_KRAUS_OPS=4096$"):
+        admit("x", dim=2, ops=4097, nbytes=2 ** 40)
+    # an exponent past the cap's bit length refuses the power unformed; a
+    # formed 2**1000000 would print 301,030 digits, which str() refuses
+    with pytest.raises(ValueError, match=r"^y: bit count 2\*\*1000000 exceeds cap MAX_CONCAT_BITS="):
+        admit("y", bits=(2, 10 ** 6))
+
+
+def _cap_compares(text: str) -> list[int]:
+    """Lines where a comparison names a MAX_* cap outside admit."""
+    tree = ast.parse(text)
+    inside = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and f.name == "admit" for n in ast.walk(f)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and id(node) not in inside:
+            names = [getattr(n, "id", getattr(n, "attr", "")) for n in ast.walk(node)]
+            if any(name.startswith("MAX_") for name in names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_caps_are_compared_only_in_admit():
+    assert _cap_compares("def f(n):\n    return n > hilbert.MAX_TOTAL_DIM\n") == [2]
+    assert _cap_compares("def admit(n):\n    return n > MAX_TOTAL_DIM\n") == []
+    package = pathlib.Path(qecdesk.__file__).parent
+    found = {path.name: _cap_compares(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_products_are_admitted_before_the_kronecker_chain():
+    """11 qubits are 2048 x 2048 (64 MiB); the refusal comes first."""
+    for build in (lambda: tensor(*[pauli("X")] * 11), lambda: collective_spin("X", 11)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dimension 2048 exceeds cap MAX_TOTAL_DIM"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
 
 
 def test_partial_trace_product_state():

@@ -497,7 +497,8 @@ def test_report_json_layout():
 def test_concat_iterated_equals_closed_form():
     for p, c in ((Fraction(1, 1000), Fraction(100)), (Fraction(3, 17), Fraction(7, 2))):
         res = concat_recursion(p, c, levels=10)
-        assert res.levels_exact == res.closed_form_exact
+        closed = tuple(c ** (2 ** (j - 1) - 1) * p ** (2 ** (j - 1)) for j in range(1, 11))
+        assert res.levels_exact == closed
         assert res.levels_exact[0] == p
         for j in range(9):
             assert res.levels_exact[j + 1] == c * res.levels_exact[j] ** 2
@@ -540,9 +541,11 @@ def test_concat_guards():
 
 
 def test_concat_levels_are_refused_by_their_bit_count():
-    # p = 1/1000, C = 100: 18 levels need 2,490,360 bits, 19 levels 4,980,728
-    for levels in (19, 20, 30, 65, 10**9):
-        with pytest.raises(ValueError, match="over cap MAX_CONCAT_BITS"):
+    # p = 1/1000, C = 100: 18 levels need 2,490,360 bits, 19 levels 4,980,728;
+    # from 25 levels on 2^(L-1) alone passes the cap and is refused unformed
+    for levels, bits in ((19, "4980728"), (20, "9961464"), (30, r"2\*\*29"),
+                         (65, r"2\*\*64"), (10**9, r"2\*\*999999999")):
+        with pytest.raises(ValueError, match=f"bit count {bits} exceeds cap MAX_CONCAT_BITS"):
             concat_recursion(Fraction(1, 1000), 100, levels=levels)
     # the bound covers the exact rationals it admits
     for p, c in ((Fraction(1, 1000), Fraction(100)), (Fraction(2, 31), Fraction(5, 4)),
