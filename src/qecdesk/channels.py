@@ -10,8 +10,11 @@ operator is larger; `ops` is the tuple of (label, view) pairs over them.
 Products of independent noise (batched Kronecker products) and synthesized
 recoveries are computed straight into these blocks, and consumers with a
 small per-operator body contract a whole block at a time: a pure input goes
-through as branch vectors A_k psi, one GEMV per block, and trace
-preservation is checked with one real SYRK per block.  apply_matrix, the
+through as branch vectors A_k psi, one GEMV per block.  Trace preservation
+is checked once per channel against sum A^dag A: a product takes that sum
+as the Kronecker product of its factors' sums, since
+sum (A (x) B)^dag (A (x) B) = (sum A^dag A) (x) (sum B^dag B); any other
+channel computes it with one real SYRK per block.  apply_matrix, the
 general mixed-state path, stays a loop over operators.
 """
 
@@ -95,20 +98,27 @@ class KrausChannel:
         self._seal([str(label) for label, _ in pairs], stack)
 
     @classmethod
-    def _build(cls, dims, labels: list[str], make, bad_labels: frozenset[str]) -> KrausChannel:
+    def _build(cls, dims, labels: list[str], make, bad_labels: frozenset[str],
+               gram: np.ndarray | None = None) -> KrausChannel:
         """Channel whose operators start:stop come stacked from make(start, stop).
 
         make is called once per block, in order, so a caller that computes
-        operators in batches writes them straight into their blocks.
+        operators in batches writes them straight into their blocks.  gram,
+        when given, is the operators' sum A^dag A, known to the caller.
         """
         ch = object.__new__(cls)
         object.__setattr__(ch, "dims", dims)
         object.__setattr__(ch, "bad_labels", bad_labels)
-        ch._seal(labels, make)
+        ch._seal(labels, make, gram)
         return ch
 
-    def _seal(self, labels: list[str], make) -> None:
-        """The one validation behind both ways in; builds and freezes the blocks."""
+    def _seal(self, labels: list[str], make, gram: np.ndarray | None = None) -> None:
+        """The one validation behind both ways in; builds and freezes the blocks.
+
+        Trace preservation compares sum A^dag A with the identity: the gram a
+        caller passes (tensor_channels forms it from the factors), or else
+        _gram over the blocks just built.
+        """
         object.__setattr__(self, "dims", _check_dims(self.dims))
         d = self.dim
         if not labels:
@@ -131,7 +141,9 @@ class KrausChannel:
                                  f"want complex {(stop - start, d, d)}")
             blk.setflags(write=False)
             blocks.append(blk)
-        if not np.abs(_gram(blocks, d) - np.eye(d)).max() <= ATOL_ALGEBRA:
+        if gram is None:
+            gram = _gram(blocks, d)
+        if not np.abs(gram - np.eye(d)).max() <= ATOL_ALGEBRA:
             raise ValueError("operator sum is not trace preserving")
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "ops", tuple(zip(labels, itertools.chain(*blocks))))
@@ -323,6 +335,8 @@ def tensor_channels(*channels: KrausChannel) -> KrausChannel:
     in label-tuple order (last factor fastest) and are built a block at a
     time: the block's operator indices are unraveled into factor indices and
     the gathered factor operators folded with batched Kronecker products.
+    The product's sum A^dag A is the Kronecker product of the factors' sums,
+    each computed once from that factor's own blocks.
     """
     if not channels:
         raise ValueError("tensor of no channels")
@@ -345,13 +359,17 @@ def tensor_channels(*channels: KrausChannel) -> KrausChannel:
         idx = np.unravel_index(np.arange(start, stop), shape)
         return _kron_stack([_gather(ch, i) for ch, i in zip(channels, idx)])
 
+    factor_gram = functools.cache(lambda ch: _gram(ch.blocks, ch.dim))  # a repeated factor once
+    gram = functools.reduce(np.kron, map(factor_gram, channels))
     return KrausChannel._build(
-        dims, labels, product, frozenset(itertools.compress(labels, bad.reshape(-1)))
+        dims, labels, product, frozenset(itertools.compress(labels, bad.reshape(-1))), gram
     )
 
 
 def _gather(ch: KrausChannel, idx: np.ndarray) -> np.ndarray:
     """Operators idx of ch as one (len(idx), d, d) stack, read block by block."""
+    if len(ch.blocks) == 1:
+        return ch.blocks[0][idx]
     which, at = np.divmod(idx, _block_len(ch.dim))
     out = np.empty((len(idx), ch.dim, ch.dim), dtype=complex)
     for b in np.unique(which):

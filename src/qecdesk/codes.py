@@ -145,7 +145,8 @@ def syndrome_reset(ident: SubsystemIdentification, rho: DensityOperator,
     weight outside the identified subspace.
     """
     if rho.dims != tuple(ident.physical_dims):
-        raise ValueError("state dims do not match the identification")
+        raise ValueError(f"state dims {rho.dims} do not match the identification's "
+                         f"{tuple(ident.physical_dims)}")
     rho_l, leak = ident.logical_matrix(rho.matrix)
     if leak > atol:
         raise LeakageDetected(leak)

@@ -184,7 +184,7 @@ class LinearOperator:
     def conjugate(self, rho: DensityOperator) -> DensityOperator:
         """A rho A^dagger, for square trace-preserving conjugations."""
         if rho.dims != self.dims_in:
-            raise ValueError("density dims do not match operator input")
+            raise ValueError(f"density dims {rho.dims} do not match operator input {self.dims_in}")
         return DensityOperator(self.dims_out, self.matrix @ rho.matrix @ self.matrix.conj().T)
 
     def is_unitary(self, atol: float = ATOL_ALGEBRA) -> bool:

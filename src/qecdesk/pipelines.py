@@ -83,9 +83,10 @@ def _check_run(ident: SubsystemIdentification, channel: KrausChannel,
     if state.dims != (ident.logical_dim,):
         raise ValueError(f"input state must be {ident.logical_dim}-dimensional")
     if abs(state.norm() - 1.0) > ATOL_ALGEBRA:
-        raise ValueError("input state is not normalized")
+        raise ValueError(f"input state is not normalized: norm {state.norm()!r}")
     if channel.dims != tuple(ident.physical_dims):
-        raise ValueError("channel dims do not match the code")
+        raise ValueError(f"channel dims {channel.dims} do not match the code's "
+                         f"{tuple(ident.physical_dims)}")
     return state.amplitudes
 
 

@@ -1,5 +1,6 @@
 """Kraus channels: construction guards, named noise models, twirling."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -9,6 +10,8 @@ import pytest
 
 from conftest import rand_density, rand_state, rand_unitary
 from oracles import group_average_twirl, rotation_group
+import qecdesk.channels as channels_module
+from qecdesk.analysis import synthesize_decoder, weight_le_errors
 from qecdesk.channels import (
     KrausChannel,
     MAX_KRAUS_OPS,
@@ -30,6 +33,7 @@ from qecdesk.channels import (
     tensor_independent,
     twirl,
 )
+from qecdesk.codes import builtin_code
 from qecdesk.hilbert import DensityOperator, LinearOperator, StateVector, basis_state
 
 SIGMA = {
@@ -228,14 +232,21 @@ def assert_same_channel(got, want):
     assert diff <= 1e-15
 
 
-def test_tensor_channels_match_kron_chain_oracle():
+def flagged_products():
+    """Factor lists of 2 to 5 depolarizing and bit-flip qubits, one of them
+    with bad labels; the flagged factor moves from case to case."""
     marked = KrausChannel((2,), depolarizing(0.2).ops, bad_labels=frozenset({"x", "y"}))
     for n in range(2, 6):
         for n_dep in range(n + 1):
             factors = [depolarizing(0.05 + 0.01 * i) if i < n_dep else bit_flip(0.1 + 0.02 * i)
                        for i in range(n)]
-            factors[n_dep % n] = marked  # the flagged factor moves from case to case
-            assert_same_channel(tensor_channels(*factors), kron_chain(*factors))
+            factors[n_dep % n] = marked
+            yield factors
+
+
+def test_tensor_channels_match_kron_chain_oracle():
+    for factors in flagged_products():
+        assert_same_channel(tensor_channels(*factors), kron_chain(*factors))
     # mixed dimensions and comma-joined labels, in both orders
     pair = (bit_flip(0.3), gaussian_shift(7))
     for factors in (pair, pair[::-1]):
@@ -263,6 +274,49 @@ def test_tensor_channels_block_layout():
     nested = tensor_channels(dep4, bit_flip(0.2))
     assert nested.labels()[:3] == ["0000,0", "0000,x", "0001,0"]
     assert_same_channel(nested, kron_chain(kron_chain(*[depolarizing(0.1)] * 4), bit_flip(0.2)))
+
+
+def test_product_gram_is_the_kronecker_product_of_factor_grams():
+    # every product of the two tests above; the flat sum over its blocks is the oracle
+    pair = (bit_flip(0.3), gaussian_shift(7))
+    cases = [*flagged_products(), pair, pair[::-1], [depolarizing(0.1)] * 5,
+             [depolarizing(0.2)] + [bit_flip(0.15)] * 6,
+             (tensor_independent(depolarizing(0.1), 4), bit_flip(0.2))]
+    for factors in cases:
+        got = tensor_channels(*factors)
+        want = functools.reduce(np.kron, [_gram(f.blocks, f.dim) for f in factors])
+        assert np.abs(_gram(got.blocks, got.dim) - want).max() <= 1e-13, got.dims
+
+
+def test_product_trace_check_keeps_the_flat_verdict():
+    # sqrt(1 + delta) I passes alone (defect delta); a pair has defect ~2 delta,
+    # past ATOL_ALGEBRA = 1e-9 at delta = 6e-10 and within it at 4e-10
+    for delta, admitted in ((6e-10, False), (4e-10, True)):
+        factor = KrausChannel((2,), (("0", math.sqrt(1 + delta) * SIGMA["I"]),))
+        for build in (tensor_channels, kron_chain):
+            if admitted:
+                assert build(factor, factor).labels() == ["00"]
+            else:
+                with pytest.raises(ValueError, match="^operator sum is not trace preserving$"):
+                    build(factor, factor)
+
+
+def test_products_check_trace_preservation_on_their_factors(monkeypatch):
+    seen = []
+
+    def recorder(blocks, d):
+        seen.append(d)
+        return _gram(blocks, d)
+
+    dep = depolarizing(0.1)
+    monkeypatch.setattr(channels_module, "_gram", recorder)
+    assert tensor_independent(dep, 5).dim == 32
+    assert seen == [2]  # the one distinct factor, once
+    # explicit operators and the synthesized recovery keep the flat sum
+    KrausChannel((4,), (("0", np.eye(4, dtype=complex)),))
+    assert seen == [2, 4]
+    synthesize_decoder(builtin_code("fivequbit").subspace, weight_le_errors(5, 1))
+    assert seen[-1] == 32
 
 
 def test_both_ways_in_reject_invalid_operator_sets():

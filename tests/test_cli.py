@@ -323,6 +323,14 @@ def test_domain_errors_exit_64(capsys):
     capsys.readouterr()
 
 
+def test_mismatched_dims_name_both_sides(capsys):
+    assert main(["simulate", "--code", "repetition3",
+                 "--channel", "depolarizing p=0.1"]) == USAGE_EXIT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "channel dims (2,) do not match the code's (2, 2, 2)" in captured.err
+
+
 def test_table_output_shows_the_rounded_json_values(capsys):
     # 4 * 0.3 / 4 / 3 is 0.07499999999999998 in floats; JSON and table round once
     code, data = run_json(capsys, ["twirl", "--channel", "depolarizing p=0.3"])

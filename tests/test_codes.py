@@ -131,6 +131,12 @@ def test_syndrome_reset_reencodes():
                        atol=1e-12)
 
 
+def test_syndrome_reset_names_both_dims():
+    with pytest.raises(ValueError, match=r"^state dims \(7,\) do not match the identification's "
+                                         r"\(2, 2, 2\)$"):
+        syndrome_reset(repetition_quantum(), DensityOperator((7,), np.eye(7) / 7))
+
+
 def test_cyclic7_identification():
     ident = cyclic7()
     assert not ident.is_complete()

@@ -91,6 +91,12 @@ def test_operator_unitary_isometry_flags():
     assert not bad.is_isometry()
 
 
+def test_conjugate_names_both_dims():
+    u = LinearOperator((4,), (4,), np.eye(4, dtype=complex))
+    with pytest.raises(ValueError, match=r"^density dims \(2,\) do not match operator input \(4,\)$"):
+        u.conjugate(DensityOperator((2,), np.eye(2) / 2))
+
+
 def test_conjugate_preserves_density():
     rng = np.random.default_rng(0)
     rho = DensityOperator((4,), rand_density(rng, 4))

@@ -405,6 +405,15 @@ def test_run_corrected_refuses_decoders_that_do_not_fit_the_code():
         run_corrected(code, three, noise, PLUS)
 
 
+def test_run_refusals_name_the_values():
+    rep = repetition_quantum()
+    noise = tensor_independent(bit_flip(0.1), 3)
+    with pytest.raises(ValueError, match=r"^input state is not normalized: norm 2\.0$"):
+        run_exact(rep, noise, StateVector((2,), np.array([2.0, 0.0])))
+    with pytest.raises(ValueError, match=r"^channel dims \(2,\) do not match the code's \(2, 2, 2\)$"):
+        run_exact(rep, bit_flip(0.1), PLUS)
+
+
 def test_reset_between_rounds_beats_no_reset():
     rep = repetition_quantum()
     p = 0.2
