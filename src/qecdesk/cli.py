@@ -77,12 +77,17 @@ def _load_code(spec: str) -> codes.CodeDefinition:
     return codes.builtin_code(spec)
 
 
-def _parse_errors(spec: str, definition: codes.CodeDefinition):
+def _qubits(definition: codes.CodeDefinition, what: str) -> int:
+    """The code's number of qubits; `what` needs qubits, so other dims are refused."""
     dims = definition.subspace.physical_dims
     if any(d != 2 for d in dims):
-        raise ValueError(f"--errors takes Pauli words, but code {definition.name!r} "
-                         f"has physical dims {list(dims)}, not qubits")
-    n = len(dims)
+        raise ValueError(f"{what}, but code {definition.name!r} has physical dims "
+                         f"{list(dims)}, not qubits")
+    return len(dims)
+
+
+def _parse_errors(spec: str, definition: codes.CodeDefinition):
+    n = _qubits(definition, "--errors takes Pauli words")
     if spec.startswith("weight"):
         if not spec[len("weight"):].isdecimal():
             raise ValueError(f"--errors weightN needs a whole number N >= 0, got {spec!r}")
@@ -121,6 +126,7 @@ _finite_float = _arg_type(float, math.isfinite, "a finite number")
 _count = _arg_type(int, lambda v: v >= 0, "a whole number >= 0")
 # exact: 1e-3 and 1/1000 both give Fraction(1, 1000); nan and inf do not parse
 _fraction = _arg_type(Fraction, lambda v: True, "a finite decimal or fraction")
+_seed = _arg_type(int, lambda v: 0 <= v < 2 ** 128, "a Philox key, a whole number < 2**128")
 
 
 def _parse_input(token: str, dim: int) -> StateVector:
@@ -202,31 +208,27 @@ def cmd_mindist(args) -> int:
         return 0
 
 
+def _weight1_decoder(definition: codes.CodeDefinition):
+    """(decoder, verdict) for the set of every weight-1 Pauli error."""
+    n = _qubits(definition, "simulate decodes weight-1 Pauli errors")
+    verdict = analysis.correctable_quantum(definition.subspace, analysis.weight_le_words(n, 1))
+    if not verdict.correctable:
+        raise ValueError(f"code {definition.name!r} cannot correct every weight-1 Pauli error")
+    return analysis.decoder_identification(definition.subspace, verdict), verdict
+
+
 def cmd_simulate(args) -> int:
     definition = _load_code(args.code)
     channel = channels.parse_channel_spec(args.channel)
-    if definition.identification is not None:
-        ident = definition.identification
-        state = _parse_input(args.input, ident.logical_dim)
-        if args.trials:
-            report = pipelines.run_monte_carlo(
-                ident, channel, state, args.trials, seed=args.seed,
-                scenario=definition.name, input_desc=_input_desc(args.input))
-        else:
-            report = pipelines.run_exact(
-                ident, channel, state,
-                scenario=definition.name, input_desc=_input_desc(args.input))
+    code = definition.subspace
+    decoder = definition.identification or _weight1_decoder(definition)[0]
+    state = _parse_input(args.input, code.dim)
+    named = dict(scenario=definition.name, input_desc=_input_desc(args.input))
+    if args.trials:
+        report = pipelines.run_monte_carlo(decoder, channel, state, args.trials,
+                                           seed=args.seed, code=code, **named)
     else:
-        n = len(definition.subspace.physical_dims)
-        errors = analysis.weight_le_words(n, 1)
-        verdict = analysis.correctable_quantum(definition.subspace, errors)
-        decoder = analysis.decoder_identification(definition.subspace, verdict)
-        state = _parse_input(args.input, definition.subspace.dim)
-        if args.trials:
-            raise ValueError(f"code {definition.name!r} supports exact simulation only")
-        report = pipelines.run_corrected(
-            definition.subspace, decoder, channel, state,
-            scenario=definition.name, input_desc=_input_desc(args.input))
+        report = pipelines.run_corrected(code, decoder, channel, state, **named)
     _emit(report.to_json(), args)
     return 2 if report.metrics.get("fail", 0.0) > args.fail_threshold else 0
 
@@ -330,18 +332,16 @@ def cmd_demo(args) -> int:
                                 out=getattr(args, "out", None))
         return cmd_noiseless(ns)
     if name == "five-qubit":
-        stab, space = codes.five_qubit()
-        errors = analysis.weight_le_words(5, 1)
-        verdict = analysis.correctable_quantum(space, errors)
-        decoder = analysis.decoder_identification(space, verdict)
+        five = codes.builtin_code("fivequbit")
+        decoder, verdict = _weight1_decoder(five)
         noisy = channels.tensor_independent(channels.depolarizing(0.1), 5)
-        report = pipelines.run_corrected(space, decoder, noisy, pipelines.PLUS,
+        report = pipelines.run_corrected(five.subspace, decoder, noisy, pipelines.PLUS,
                                          scenario="five-qubit",
                                          input_desc="(|0>+|1>)/sqrt2")
         payload = report.to_json()
         payload["correctable_weight1"] = verdict.correctable
         payload["lambda_rank"] = verdict.rank
-        payload["distance"] = stab.min_distance()
+        payload["distance"] = five.stabilizers.min_distance()
         _emit(payload, args)
         return 0
     if name == "parity2":
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", required=True, help="e.g. 'independent n=3 bitflip p=0.25'")
     p.add_argument("--input", default="0")
     p.add_argument("--trials", type=_count, default=0, help="0 = exact")
-    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--fail-threshold", type=_finite_float, default=0.5)
     common(p)
     p.set_defaults(func=cmd_simulate)
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noiseless", help="derive and verify the three-spin qubit")
     p.add_argument("--rotations", type=_count, default=100)
-    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p)
     p.set_defaults(func=cmd_noiseless)
 

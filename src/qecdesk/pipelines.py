@@ -2,20 +2,20 @@
 
 A decoder is an isometry W from syndrome (x) logical into the physical space,
 and every run reports one outcome table (_table): an "ok" and an "err" mass
-per syndrome, and a "fail" mass outside W.  The exact runs push the encoded
-pure state through the noise as branch vectors and read the table from the
-syndrome blocks of W^dag rho W; run_exact encodes by the identification,
-run_corrected as C psi in a code subspace.  run_monte_carlo forms the same
-table per noise branch, from W^dag of each normalized branch vector, and
-samples a branch and then an outcome per trial from counter-derived streams,
-so it agrees with the exact run within sampling error.  Reports serialize to
-a stable JSON layout.
+per syndrome, and a "fail" mass outside W.  Every run encodes by one rule
+(_setup): C psi when given a code subspace C, else W with the syndrome in its
+base value.  The exact runs push the encoded pure state through the noise as
+branch vectors and read the table from the syndrome blocks of W^dag rho W.
+run_monte_carlo forms the same table per noise branch, from W^dag of each
+normalized branch vector, and samples a branch and then an outcome per trial
+from counter-derived streams, so it agrees with the exact run within sampling
+error.  Reports serialize to a stable JSON layout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -76,10 +76,11 @@ class PipelineReport:
         return out
 
 
-def _check_run(ident: SubsystemIdentification, channel: KrausChannel,
-               state: StateVector) -> np.ndarray:
-    """The input's amplitudes, once it fits the logical factor and the noise
-    fits the physical space."""
+def _setup(decoder, channel: KrausChannel, state: StateVector, code=None):
+    """The one encode rule, once input and noise fit W: (W, psi, C psi) given a
+    code subspace C (W read by _code_decoder), else (W, psi, W(|base> (x) psi)):
+    the same vector for W's own code, whose subspace is not built per call."""
+    ident = decoder if code is None else _code_decoder(code, decoder)
     if state.dims != (ident.logical_dim,):
         raise ValueError(f"input state must be {ident.logical_dim}-dimensional")
     if abs(state.norm() - 1.0) > ATOL_ALGEBRA:
@@ -87,7 +88,9 @@ def _check_run(ident: SubsystemIdentification, channel: KrausChannel,
     if channel.dims != tuple(ident.physical_dims):
         raise ValueError(f"channel dims {channel.dims} do not match the code's "
                          f"{tuple(ident.physical_dims)}")
-    return state.amplitudes
+    psi = state.amplitudes
+    return ident, psi, (ident.encode(state).amplitudes if code is None
+                        else code.basis_matrix() @ psi)
 
 
 def _table(p: np.ndarray, ok: np.ndarray, fail) -> np.ndarray:
@@ -121,8 +124,8 @@ def _report(ident: SubsystemIdentification, masses: np.ndarray, scenario: str,
                           seed=seed, trials=trials)
 
 
-def _run(ident: SubsystemIdentification, channel: KrausChannel, psi: np.ndarray,
-         psi_enc: np.ndarray, scenario: str, input_desc: str) -> PipelineReport:
+def _run(ident: SubsystemIdentification, psi: np.ndarray, psi_enc: np.ndarray,
+         channel: KrausChannel, scenario: str, input_desc: str) -> PipelineReport:
     """The encode/noise/decode core: psi_enc through the noise, then the
     diagonal syndrome blocks of W^dag rho W.
 
@@ -152,9 +155,7 @@ def run_exact(
 ) -> PipelineReport:
     """Encode by the identification (syndrome in its base value), apply
     noise, decode by the identification, enumerate outcomes."""
-    psi = _check_run(ident, channel, input_state)
-    return _run(ident, channel, psi, ident.encode(input_state).amplitudes,
-                scenario, input_desc)
+    return _run(*_setup(ident, channel, input_state), channel, scenario, input_desc)
 
 
 def _code_decoder(code: CodeSubspace,
@@ -189,9 +190,7 @@ def run_corrected(
 ) -> PipelineReport:
     """Encode as C psi in a code subspace, apply noise, decode by an
     identification of the code or a recovery channel (see _code_decoder)."""
-    ident = _code_decoder(code, decoder)
-    psi = _check_run(ident, channel, input_state)
-    return _run(ident, channel, psi, code.basis_matrix() @ psi, scenario, input_desc)
+    return _run(*_setup(decoder, channel, input_state, code), channel, scenario, input_desc)
 
 
 def run_cyclic(
@@ -212,8 +211,7 @@ def run_cyclic(
     metrics["shift0_p"] = probs[0]
     metrics["shift1_p"] = probs[1]
     metrics["shift_le1_mass"] = probs[-1] + probs[0] + probs[1]
-    return PipelineReport(report.scenario, report.input_desc, report.outcomes,
-                          report.logical_rho, metrics)
+    return replace(report, metrics=metrics)
 
 
 # --- Monte Carlo --------------------------------------------------------------
@@ -249,16 +247,18 @@ def run_monte_carlo(
     seed: int = 0,
     scenario: str = "monte-carlo",
     input_desc: str = "",
+    code: CodeSubspace | None = None,
 ) -> PipelineReport:
     """Sample the pipeline: one noise branch and one measured outcome per trial.
 
-    Uses one counter-derived stream per fixed-size trial block from the given
-    seed, so results are reproducible and independent of scheduling.
+    Encodes as run_corrected does given a code, else as run_exact.  Uses one
+    counter-derived stream per fixed-size trial block from the given seed, so
+    results are reproducible and independent of scheduling.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    psi = _check_run(ident, channel, input_state)
-    qs, tables = _branches(ident, channel, psi, ident.encode(input_state).amplitudes)
+    ident, psi, psi_enc = _setup(ident, channel, input_state, code)
+    qs, tables = _branches(ident, channel, psi, psi_enc)
     cum_q = np.cumsum(qs)
     cum_q[-1] = max(cum_q[-1], 1.0)
     cum_d = np.cumsum(tables, axis=1)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import resource
+import shlex
 import subprocess
 import sys
 
@@ -177,13 +178,19 @@ def test_simulate_corrected_code_path(capsys):
     ])
     assert code == 0
     assert data["metrics"]["success"] == pytest.approx(0.9683825, abs=1e-9)
-    # sampling is not available for the synthesized-decoder path
-    code, _ = run(capsys, [
+    code, sampled = run_json(capsys, [
         "simulate", "--code", "fivequbit",
         "--channel", "independent n=5 depolarizing p=0.1",
-        "--input", "+", "--trials", "100",
+        "--input", "+", "--trials", "100000", "--seed", "7",
     ])
-    assert code == USAGE_EXIT
+    assert code == 0
+    assert sampled["seed"] == 7 and sampled["trials"] == 100000
+    rows = {(r["syndrome"], r["logical"]): r["p"] for r in sampled["outcomes"]}
+    assert len(rows) == len(data["outcomes"])
+    for r in data["outcomes"]:
+        p = r["p"]
+        sigma = math.sqrt(max(p * (1 - p), 1e-30) / 100000)
+        assert abs(rows[(r["syndrome"], r["logical"])] - p) < 5 * sigma + 1e-9, r
 
 
 def test_simulate_custom_input_vector(capsys):
@@ -274,6 +281,10 @@ def test_usage_errors_exit_64(capsys):
         ("--p", ["concat", "--p", "1/0", "--C", "100"]),
         ("--C", ["concat", "--p", "1e-3", "--C", "inf"]),
         ("--C", ["concat", "--p", "1e-3", "--C", "-Infinity"]),
+        # numpy's Philox key is below 2**128
+        ("--seed", ["noiseless", "--seed", str(2 ** 128)]),
+        ("--seed", ["simulate", "--code", "repetition3", "--channel",
+                    "bitflip p=0.1", "--trials", "5", "--seed", str(2 ** 128)]),
     )
     for flag, argv in negatives:
         with pytest.raises(SystemExit) as exc:
@@ -321,6 +332,25 @@ def test_domain_errors_exit_64(capsys):
     assert main(["twirl", "--channel", "depolarizing p=2.0"]) == USAGE_EXIT
     assert main(["concat", "--p", "0.5", "--C", "10", "--levels", "0"]) == USAGE_EXIT
     capsys.readouterr()
+
+
+def test_simulate_refuses_codes_without_a_weight1_decoder(capsys, tmp_path):
+    """A code file with no identification is decoded for every weight-1
+    Pauli error; a qudit code, or one that cannot correct them, is refused
+    by name and reason."""
+    for name, text, why in (
+        ("qutrit.txt", "basis:\n[[1,0],[0,0],[0,0]]\n[[0,0],[1,0],[0,0]]\n", "not qubits"),
+        ("zz3.txt", "ZZI\nIZZ\n", "cannot correct every weight-1 Pauli error"),
+        ("zz2.txt", "ZZ\n", "cannot correct every weight-1 Pauli error"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        for trials in ("0", "100"):
+            assert main(["simulate", "--code", str(path), "--channel", "bitflip p=0.1",
+                         "--trials", trials]) == USAGE_EXIT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"'{name}'" in captured.err and why in captured.err, captured.err
 
 
 def test_mismatched_dims_name_both_sides(capsys):
@@ -492,8 +522,8 @@ def test_bad_code_file_amplitudes_name_the_vector(capsys, tmp_path):
 
 
 def test_cli_builds_no_recovery_channel(capsys, monkeypatch):
-    """check, simulate and the five-qubit demo decode with the isometry alone,
-    and check runs the Knill-Laflamme kernel once."""
+    """check, simulate (exact and sampled) and the five-qubit demo decode with
+    the isometry alone, and each runs the Knill-Laflamme kernel once."""
     import qecdesk.analysis
 
     def refuse(*args):
@@ -522,6 +552,10 @@ def test_cli_builds_no_recovery_channel(capsys, monkeypatch):
     assert code == 0 and len(calls) == 3
     code, _ = run(capsys, ["demo", "five-qubit"])
     assert code == 0 and len(calls) == 4
+    code, data = run_json(capsys, ["simulate", "--code", "fivequbit", "--channel",
+                                   "independent n=5 bitflip p=0.2", "--input", "1",
+                                   "--trials", "1000", "--seed", "3"])
+    assert code == 0 and data["trials"] == 1000 and len(calls) == 5
 
 
 def test_out_writes_file(capsys, tmp_path):
@@ -561,3 +595,26 @@ def test_demo_outputs_match_goldens(capsys, tmp_path):
             want = fh.read()
         assert fresh.read_bytes() == want, name
     capsys.readouterr()
+
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+def readme_commands():
+    """Every `qecdesk ...` line of the README's command-line example block."""
+    with open(README) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```\n", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("qecdesk ")]
+
+
+def test_readme_commands_run(capsys):
+    commands = readme_commands()
+    assert ["simulate", "--code", "fivequbit", "--channel",
+            "independent n=5 depolarizing p=0.1", "--input", "+",
+            "--trials", "100000", "--seed", "7"] in commands
+    for argv in commands:
+        code, out = run(capsys, argv)
+        assert code in (0, 1), argv
+        json.loads(out)

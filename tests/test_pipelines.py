@@ -33,6 +33,7 @@ from qecdesk.codes import (
     builtin_code,
     cyclic7,
     five_qubit,
+    parse_code_text,
     repetition_quantum,
     stabilizer_codespace,
     syndrome_reset,
@@ -387,10 +388,22 @@ def test_branch_tables_match_the_per_branch_oracle(name):
         assert np.abs(tables - tables_want).max() <= 1e-15
         if name == "repetition3/zero-mass-branches":
             assert (qs_want <= 1e-30).sum() == len(qs) // 2  # the bit_flip(0.0) "x" half
-        if code is None:
-            mc = run_monte_carlo(ident, noise, psi, trials=100, seed=1)
-            listed = rows if not ident.is_complete() else rows[:-1]
-            assert [(s, l) for s, l, _ in mc.outcomes] == listed
+        mc = run_monte_carlo(ident, noise, psi, trials=100, seed=1, code=code)
+        listed = rows if not ident.is_complete() else rows[:-1]
+        assert [(s, l) for s, l, _ in mc.outcomes] == listed
+
+
+@pytest.mark.parametrize("name", ["repetition3/bitflip^3", "cyclic7/gaussian7",
+                                  "threespin/bitflip^3"])
+def test_monte_carlo_encodes_alike_with_and_without_the_code(name):
+    """An identification encodes into its own code exactly as C psi does, so
+    a seeded run draws the same outcomes either way."""
+    ident, noise, _ = table_case(name)
+    for psi, _ in table_inputs(ident, None, 57):
+        bare = run_monte_carlo(ident, noise, psi, trials=20000, seed=9)
+        coded = run_monte_carlo(ident, noise, psi, trials=20000, seed=9,
+                                code=ident.code_subspace())
+        assert coded.outcomes == bare.outcomes and coded.metrics == bare.metrics
 
 
 def test_run_corrected_refuses_decoders_that_do_not_fit_the_code():
@@ -449,6 +462,31 @@ def test_run_monte_carlo_agrees_with_exact():
         sample = mc.outcome_probability(s, l)
         sigma = math.sqrt(max(p * (1 - p), 1e-30) / mc.trials)
         assert abs(sample - p) < 4 * sigma + 1e-12, (s, l)
+
+
+def sampled_case(name):
+    """(code, weight-1 decoder, noise, input) for the Monte Carlo runs on a code."""
+    if name == "five/depolarizing^5":
+        code, n, noise, psi = builtin_code("fivequbit").subspace, 5, depolarizing(0.1), PLUS
+    else:
+        code = parse_code_text("\n".join(STEANE), name="steane.txt").subspace
+        n, noise, psi = 7, bit_flip(0.1), basis_state((2,), 0)
+    decoder = decoder_identification(code, correctable_quantum(code, weight_le_words(n, 1)))
+    return code, decoder, tensor_independent(noise, n), psi
+
+
+@pytest.mark.parametrize("name", ["five/depolarizing^5", "steane/bitflip^7"])
+def test_run_monte_carlo_on_a_code_agrees_with_run_corrected(name):
+    code, decoder, noise, psi = sampled_case(name)
+    exact = run_corrected(code, decoder, noise, psi)
+    mc = run_monte_carlo(decoder, noise, psi, 100_000, 3, code=code)
+    if name == "steane/bitflip^7":
+        assert exact.metrics["error"] == pytest.approx(0.1306432, abs=1e-7)
+        assert exact.outcomes[-1][0] == "fail"
+    assert [(s, l) for s, l, _ in mc.outcomes] == [(s, l) for s, l, _ in exact.outcomes]
+    for s, l, p in exact.outcomes:
+        sigma = math.sqrt(max(p * (1 - p), 1e-30) / mc.trials)
+        assert abs(mc.outcome_probability(s, l) - p) < 5 * sigma + 1e-12, (name, s, l)
 
 
 def test_run_monte_carlo_cyclic_fail_rate():
