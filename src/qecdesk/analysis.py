@@ -167,23 +167,22 @@ def _kl_kernel(code: CodeSubspace, errors, against_code: bool = False):
     return tuple(labels), blocks, lam, residual
 
 
-def detectable_quantum(code: CodeSubspace, error, atol: float = ATOL_ALGEBRA) -> DetectVerdict:
+def detectable_quantum(code: CodeSubspace, error) -> DetectVerdict:
     """Check C^dag E C = lambda I on the code basis C, i.e. PEP = lambda P;
     the residual is max |C^dag E C - lambda I|."""
     label = str(error) if isinstance(error, PauliProduct) else "E"
     _, _, lam, residual = _kl_kernel(code, [(label, error)], against_code=True)
-    return DetectVerdict(residual <= atol, complex(lam[0, 0]), residual)
+    return DetectVerdict(residual <= ATOL_ALGEBRA, complex(lam[0, 0]), residual)
 
 
-def correctable_quantum(code: CodeSubspace, errors,
-                        atol: float = ATOL_ALGEBRA) -> CorrectVerdict:
+def correctable_quantum(code: CodeSubspace, errors) -> CorrectVerdict:
     """Check C^dag E_i^dag E_j C = lambda_ij I for every pair, i.e.
     P E_i^dag E_j P = lambda_ij P, from one Gram matrix of the blocks E_i C;
     the residual is the worst max |C^dag E_i^dag E_j C - lambda_ij I|."""
     labels, blocks, lam, residual = _kl_kernel(code, errors)
-    ok = residual <= atol
+    ok = residual <= ATOL_ALGEBRA
     evals = np.linalg.eigvalsh((lam + lam.conj().T) / 2.0)
-    if ok and (np.abs(lam - lam.conj().T).max() > atol or evals[0] < -atol):
+    if ok and (np.abs(lam - lam.conj().T).max() > ATOL_ALGEBRA or evals[0] < -ATOL_ALGEBRA):
         raise RuntimeError("correctable Gram matrix failed Hermitian/PSD check")
     rank = int(np.sum(evals > 1e-9 * max(evals.max(), 1e-30)))
     return CorrectVerdict(ok, labels, lam, rank, residual, blocks)
@@ -289,7 +288,7 @@ def weight_le_errors(n: int, max_weight: int = 1) -> list[tuple[str, np.ndarray]
     return [(label, word.dense()) for label, word in weight_le_words(n, max_weight)]
 
 
-def commutant(ops, dim: int, atol: float = ATOL_ALGEBRA) -> list[np.ndarray]:
+def commutant(ops, dim: int) -> list[np.ndarray]:
     """Orthonormal Hermitian basis of everything commuting with the given ops.
 
     Solves the stacked commutator equations by SVD and symmetrizes the
@@ -304,7 +303,7 @@ def commutant(ops, dim: int, atol: float = ATOL_ALGEBRA) -> list[np.ndarray]:
     stacked = np.vstack(blocks)
     u, svals, vh = np.linalg.svd(stacked)
     smax = svals.max() if svals.size else 0.0
-    null_rows = vh[svals <= max(atol * smax, atol)] if svals.size else vh
+    null_rows = vh[svals <= max(ATOL_ALGEBRA * smax, ATOL_ALGEBRA)] if svals.size else vh
     extra = vh[len(svals):]
     null = np.vstack([null_rows, extra]) if extra.size else null_rows
     raw = [v.reshape(dim, dim) for v in null]

@@ -435,6 +435,8 @@ class PauliChannel:
                 raise ValueError(f"{word} does not act on {self.n} qubits")
             if p < -ATOL_ALGEBRA:
                 raise ValueError(f"negative probability {p} for {word}")
+            if word.phase_free() in probs:
+                raise ValueError(f"word {word.phase_free()} is given twice, up to phase")
             probs[word.phase_free()] = float(max(p, 0.0))
         if abs(math.fsum(probs.values()) - 1.0) > ATOL_ALGEBRA:
             raise ValueError("probabilities do not sum to 1")

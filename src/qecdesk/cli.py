@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, channels, codes, pipelines
 from .gf2_symplectic import PauliProduct, SearchCapExceeded, identity_word, single_qubit_word
-from .hilbert import StateVector, basis_state
+from .hilbert import ATOL_ALGEBRA, StateVector, basis_state
 
 USAGE_EXIT = 64
 
@@ -134,24 +134,29 @@ def _parse_input(token: str, dim: int) -> StateVector:
         return pipelines.PLUS
     if token == "-" and dim == 2:
         return StateVector((2,), np.array([1.0, -1.0]) / math.sqrt(2.0))
-    if token.isdigit() and int(token) < dim:
-        return basis_state((dim,), int(token))
+    bad = f"--input {token} for a code of dimension {dim}: "
+    usage = (f"{bad}needs a basis index below {dim}, +, -, or a JSON list of "
+             f"{dim} finite amplitudes or [re, im] pairs")
     try:
+        if token.isdecimal() and int(token) < dim:
+            return basis_state((dim,), int(token))
         amps = np.asarray(json.loads(token), dtype=float)
-    except (TypeError, OverflowError, RecursionError):
-        # JSON objects, integers past float range, lists nested past the recursion limit
-        raise ValueError(f"--input needs a basis index, +, -, or a JSON list of "
-                         f"finite amplitudes or [re, im] pairs, got {token}") from None
+    except (ValueError, TypeError, OverflowError, RecursionError):
+        # not JSON, JSON objects, integers past float range, lists nested past the recursion limit
+        raise ValueError(usage) from None
     if not np.isfinite(amps).all():
-        raise ValueError(f"--input has a non-finite amplitude: {token}")
+        raise ValueError(f"{bad}non-finite amplitude")
     if amps.ndim == 2 and amps.shape[1] == 2:
         vec = amps[:, 0] + 1j * amps[:, 1]
     else:
         vec = amps.astype(complex)
+    if vec.shape != (dim,):
+        raise ValueError(usage)
     with np.errstate(over="ignore"):
-        if not math.isfinite(np.linalg.norm(vec)):
-            raise ValueError(f"--input amplitudes overflow when normalized: {token}")
-    return StateVector((dim,), vec).normalized()
+        norm = float(np.linalg.norm(vec))
+    if not ATOL_ALGEBRA <= norm < math.inf:
+        raise ValueError(f"{bad}amplitudes of norm {norm} cannot be normalized")
+    return StateVector((dim,), vec / norm)
 
 
 def _input_desc(token: str) -> str:

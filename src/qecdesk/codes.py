@@ -137,8 +137,7 @@ class SubsystemIdentification:
         return CodeSubspace(self.physical_dims, tuple(basis))
 
 
-def syndrome_reset(ident: SubsystemIdentification, rho: DensityOperator,
-                   atol: float = ATOL_ALGEBRA) -> DensityOperator:
+def syndrome_reset(ident: SubsystemIdentification, rho: DensityOperator) -> DensityOperator:
     """Discard the syndrome and re-prepare it in the base value.
 
     The logical factor is untouched.  Raises LeakageDetected if the state has
@@ -148,7 +147,7 @@ def syndrome_reset(ident: SubsystemIdentification, rho: DensityOperator,
         raise ValueError(f"state dims {rho.dims} do not match the identification's "
                          f"{tuple(ident.physical_dims)}")
     rho_l, leak = ident.logical_matrix(rho.matrix)
-    if leak > atol:
+    if leak > ATOL_ALGEBRA:
         raise LeakageDetected(leak)
     b, dl = ident.syndrome_base, ident.logical_dim
     fresh = np.zeros((ident.syndrome_dim * dl,) * 2, dtype=complex)

@@ -1,12 +1,22 @@
 """Exact Pauli-product algebra in the binary symplectic representation.
 
-A product of single-qubit Paulis is stored as two bit-packed integers (one
-bit per qubit for each half of the 2-bit symbol) plus a power of i.  The
-symbol encoding is I=00, X=01, Y=10, Z=11, so a word on n qubits is a vector
-in GF(2)^(2n); two words commute exactly when their symplectic product
-vanishes.  All group arithmetic here is integer-exact, including phases.
-A word acts on a vector as a signed row gather (`index_map`), so neither the
-analysis nor the codespace build needs its dense matrix.
+A word on n qubits is its vector (x | z) in GF(2)^(2n) plus a power of i:
+PauliProduct(n, x_bits, z_bits, phase_k) is the operator
+
+    i^(phase_k + y) X^x Z^z,    y = |x & z|,
+
+so X is (1, 0), Z is (0, 1) and Y = iXZ is (1, 1), and phase_k is the phase
+printed before the letters.  Qubit j sits at bit n-1-j of each mask, the bit
+it occupies in a computational-basis index: X^x sends index i to i ^ x and
+Z^z signs it by (-1)^|i & z|.  Moving Z^z1 past X^x2 costs (-1)^|z1 & x2|,
+so a product is a few popcounts, with no loop over the qubits:
+
+    k3 = k1 + k2 + y1 + y2 - y3 + 2|z1 & x2|  (mod 4).
+
+Two words commute exactly when |x1 & z2| + |z1 & x2| is even.  All group
+arithmetic here is integer-exact, including phases.  A word acts on a vector
+as a signed row gather (`index_map`), so neither the analysis nor the
+codespace build needs its dense matrix.
 """
 
 from __future__ import annotations
@@ -17,17 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _SYMBOLS = "IXYZ"
-# symbol code = 2a + b for the bit pair (a, b)
-_CODE = {"I": 0, "X": 1, "Y": 2, "Z": 3}
-
-# power of i picked up by the single-qubit product s*t, indexed [s][t];
-# cyclic X->Y->Z->X gives +i, the reverse order gives -i
-_PHASE_POW = (
-    (0, 0, 0, 0),
-    (0, 0, 1, 3),
-    (0, 3, 0, 1),
-    (0, 1, 3, 0),
-)
+# (x, z) bits of each letter; Y = iXZ carries both
+_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 _PHASE_TOKEN = {0: "", 1: "+i", 2: "-", 3: "-i"}
 _TOKEN_PHASE = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
@@ -40,26 +41,21 @@ class SearchCapExceeded(Exception):
         self.cap = cap
 
 
-def _index_bits(bits: int, n: int) -> int:
-    """Reverse n bits: bit j of a word (qubit j) is bit n-1-j of a basis index."""
-    return int(f"{bits:0{n}b}"[::-1], 2)
-
-
 @dataclass(frozen=True)
 class PauliProduct:
     """Phase times a tensor product of I/X/Y/Z factors, qubit 0 leftmost."""
 
     n: int
-    a_bits: int
-    b_bits: int
-    phase_k: int = 0  # phase is i**phase_k
+    x_bits: int
+    z_bits: int
+    phase_k: int = 0  # the printed phase is i**phase_k
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one qubit")
         mask = (1 << self.n) - 1
-        if (self.a_bits | self.b_bits) & ~mask:
-            raise ValueError("symbol bits outside the declared qubit count")
+        if (self.x_bits | self.z_bits) & ~mask:
+            raise ValueError("x or z bits outside the declared qubit count")
         object.__setattr__(self, "phase_k", self.phase_k % 4)
 
     @classmethod
@@ -74,15 +70,12 @@ class PauliProduct:
             raise ValueError(f"bad phase token {token!r} in {text!r}")
         if not word or any(c not in _SYMBOLS for c in word):
             raise ValueError(f"bad Pauli word {word!r} in {text!r}")
-        a = b = 0
-        for j, c in enumerate(word):
-            code = _CODE[c]
-            a |= (code >> 1) << j
-            b |= (code & 1) << j
-        return cls(len(word), a, b, _TOKEN_PHASE[token])
+        return _letters_word(len(word), range(len(word)), word, _TOKEN_PHASE[token])
 
     def symbol(self, j: int) -> int:
-        return (((self.a_bits >> j) & 1) << 1) | ((self.b_bits >> j) & 1)
+        """Index into IXYZ of the letter on qubit j."""
+        s = self.n - 1 - j
+        return (0, 3, 1, 2)[(self.x_bits >> s & 1) << 1 | (self.z_bits >> s & 1)]
 
     def __str__(self) -> str:
         word = "".join(_SYMBOLS[self.symbol(j)] for j in range(self.n))
@@ -93,53 +86,43 @@ class PauliProduct:
         return (1, 1j, -1, -1j)[self.phase_k]
 
     def phase_free(self) -> "PauliProduct":
-        return PauliProduct(self.n, self.a_bits, self.b_bits, 0)
+        return PauliProduct(self.n, self.x_bits, self.z_bits, 0)
 
     def weight(self) -> int:
-        return (self.a_bits | self.b_bits).bit_count()
+        return (self.x_bits | self.z_bits).bit_count()
+
+    def _ys(self) -> int:
+        return (self.x_bits & self.z_bits).bit_count()
 
     def multiply(self, other: "PauliProduct") -> "PauliProduct":
-        """Group product with exact phase tracking."""
+        """Group product with exact phase tracking (the rule in the module doc)."""
         if other.n != self.n:
             raise ValueError("qubit counts differ")
-        k = self.phase_k + other.phase_k
-        for j in range(self.n):
-            k += _PHASE_POW[self.symbol(j)][other.symbol(j)]
-        return PauliProduct(
-            self.n, self.a_bits ^ other.a_bits, self.b_bits ^ other.b_bits, k % 4
-        )
+        x, z = self.x_bits ^ other.x_bits, self.z_bits ^ other.z_bits
+        k = (self.phase_k + other.phase_k + self._ys() + other._ys() - (x & z).bit_count()
+             + 2 * (self.z_bits & other.x_bits).bit_count())
+        return PauliProduct(self.n, x, z, k)
 
     def symplectic_int(self) -> int:
-        """Interleaved GF(2) vector as an int: bit 2j is a_j, bit 2j+1 is b_j."""
-        v = 0
-        for j in range(self.n):
-            v |= ((self.a_bits >> j) & 1) << (2 * j)
-            v |= ((self.b_bits >> j) & 1) << (2 * j + 1)
-        return v
+        """(x | z) as one int: x in the high n bits, z in the low n bits."""
+        return self.x_bits << self.n | self.z_bits
 
     def commutes(self, other: "PauliProduct") -> bool:
         if other.n != self.n:
             raise ValueError("qubit counts differ")
-        x = (self.a_bits & other.b_bits) ^ (self.b_bits & other.a_bits)
+        x = (self.x_bits & other.z_bits) ^ (self.z_bits & other.x_bits)
         return x.bit_count() % 2 == 0
 
     def index_map(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, coef) with (P v)[i] = coef[i] * v[src[i]], qubit 0 the most
-        significant bit of i.
-
-        X and Y flip their qubit's bit, so src = i ^ x; Z and Y read it, for a
-        sign (-1)^popcount(src & z); and Y = iXZ adds one power of i each.
-        """
-        n = self.n
-        x = _index_bits(self.a_bits ^ self.b_bits, n)
-        z = _index_bits(self.a_bits, n)
-        ys = (self.a_bits & ~self.b_bits).bit_count()
-        src = np.arange(2 ** n) ^ x
+        significant bit of i: src = i ^ x, and coef = i^(phase_k + y) signed by
+        (-1)^|src & z|."""
+        src = np.arange(2 ** self.n) ^ self.x_bits
+        phase = (1, 1j, -1, -1j)[(self.phase_k + self._ys()) % 4]
         parity = np.zeros_like(src)
-        for bit in range(n):
-            if z >> bit & 1:
+        for bit in range(self.n):
+            if self.z_bits >> bit & 1:
                 parity ^= src >> bit
-        phase = (1, 1j, -1, -1j)[(self.phase_k + ys) % 4]
         return src, np.where(parity & 1, -phase, phase).astype(complex)
 
     def apply(self, m) -> np.ndarray:
@@ -160,6 +143,15 @@ class PauliProduct:
         return m
 
 
+def _letters_word(n: int, qubits, letters, phase_k: int = 0) -> PauliProduct:
+    """The word with letters[i] on qubit qubits[i] and identity elsewhere."""
+    x = z = 0
+    for j, c in zip(qubits, letters):
+        x |= _XZ[c][0] << (n - 1 - j)
+        z |= _XZ[c][1] << (n - 1 - j)
+    return PauliProduct(n, x, z, phase_k)
+
+
 def identity_word(n: int) -> PauliProduct:
     return PauliProduct(n, 0, 0, 0)
 
@@ -168,8 +160,7 @@ def single_qubit_word(n: int, j: int, letter: str) -> PauliProduct:
     """The word with `letter` on qubit j (0-based) and identity elsewhere."""
     if not 0 <= j < n:
         raise ValueError(f"qubit index {j} out of range for n={n}")
-    code = _CODE[letter]
-    return PauliProduct(n, (code >> 1) << j, (code & 1) << j, 0)
+    return _letters_word(n, (j,), letter)
 
 
 # --- bit-packed GF(2) elimination ------------------------------------------
@@ -218,14 +209,6 @@ def _nullspace(rows: list[int], ncols: int) -> list[int]:
     return basis
 
 
-def _word_from_symplectic(n: int, v: int) -> PauliProduct:
-    a = b = 0
-    for j in range(n):
-        a |= ((v >> (2 * j)) & 1) << j
-        b |= ((v >> (2 * j + 1)) & 1) << j
-    return PauliProduct(n, a, b, 0)
-
-
 class StabilizerGeneratorSet:
     """A commuting list of phase-free Pauli words, used as stabilizer generators."""
 
@@ -265,13 +248,10 @@ class StabilizerGeneratorSet:
 
     def centralizer(self) -> list[PauliProduct]:
         """Deterministic GF(2) basis of everything commuting with all generators."""
-        # constraint row for g swaps the two bits of each pair
-        rows = [
-            PauliProduct(self.n, g.b_bits, g.a_bits, 0).symplectic_int()
-            for g in self.generators
-        ]
-        basis = _nullspace(rows, 2 * self.n)
-        return [_word_from_symplectic(self.n, v) for v in basis]
+        # p commutes with g exactly when (z_g | x_g) . (x_p | z_p) is even
+        n, mask = self.n, (1 << self.n) - 1
+        rows = [g.z_bits << n | g.x_bits for g in self.generators]
+        return [PauliProduct(n, v >> n, v & mask, 0) for v in _nullspace(rows, 2 * n)]
 
     def in_centralizer(self, p: PauliProduct) -> bool:
         return all(p.commutes(g) for g in self.generators)
@@ -301,11 +281,7 @@ def _pauli_words(n: int, max_weight: int, alphabet: str = "XYZ"):
     for w in range(1, min(max_weight, n) + 1):
         for support in itertools.combinations(range(n), w):
             for choice in itertools.product(letters, repeat=w):
-                a = b = 0
-                for j, c in zip(support, choice):
-                    a |= (_CODE[c] >> 1) << j
-                    b |= (_CODE[c] & 1) << j
-                yield support, choice, PauliProduct(n, a, b, 0)
+                yield support, choice, _letters_word(n, support, choice)
 
 
 def _first_weight(n: int, alphabet: str, cap: int, predicate) -> int:

@@ -168,9 +168,6 @@ class LinearOperator:
         object.__setattr__(self, "dims_out", dout)
         object.__setattr__(self, "matrix", m)
 
-    def dag(self) -> "LinearOperator":
-        return LinearOperator(self.dims_out, self.dims_in, self.matrix.conj().T)
-
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         if other.dims_out != self.dims_in:
             raise ValueError("operator dimensions do not compose")
@@ -187,19 +184,13 @@ class LinearOperator:
             raise ValueError(f"density dims {rho.dims} do not match operator input {self.dims_in}")
         return DensityOperator(self.dims_out, self.matrix @ rho.matrix @ self.matrix.conj().T)
 
-    def is_unitary(self, atol: float = ATOL_ALGEBRA) -> bool:
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            return False
-        d = self.matrix.shape[0]
-        return bool(
-            np.abs(self.matrix.conj().T @ self.matrix - np.eye(d)).max() <= atol
-        )
+    def is_unitary(self) -> bool:
+        return self.matrix.shape[0] == self.matrix.shape[1] and self.is_isometry()
 
-    def is_isometry(self, atol: float = ATOL_ALGEBRA) -> bool:
+    def is_isometry(self) -> bool:
+        """A^dag A = I to ATOL_ALGEBRA."""
         d = self.matrix.shape[1]
-        return bool(
-            np.abs(self.matrix.conj().T @ self.matrix - np.eye(d)).max() <= atol
-        )
+        return bool(np.abs(self.matrix.conj().T @ self.matrix - np.eye(d)).max() <= ATOL_ALGEBRA)
 
 
 def identity(dims: tuple[int, ...]) -> LinearOperator:
@@ -280,9 +271,7 @@ def exp_hermitian(op: LinearOperator, t: float = 1.0) -> LinearOperator:
 def to_json_array(a: np.ndarray) -> list:
     """Nested lists with [re, im] leaves, for the report JSON format."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim == 0:
-        return [float(a.real), float(a.imag)]
-    return [to_json_array(x) for x in a]
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def from_json_array(data) -> np.ndarray:

@@ -48,7 +48,7 @@ class PipelineReport:
     scenario: str
     input_desc: str
     outcomes: tuple[tuple[str, str, float], ...]
-    logical_rho: np.ndarray
+    logical_rho: np.ndarray | None  # None for a sampled run, which draws no states
     metrics: dict
     seed: int | None = None
     trials: int | None = None
@@ -66,9 +66,10 @@ class PipelineReport:
             "outcomes": [
                 {"syndrome": s, "logical": l, "p": float(p)} for s, l, p in self.outcomes
             ],
-            "logical_rho": to_json_array(self.logical_rho),
-            "metrics": {k: float(v) for k, v in self.metrics.items()},
         }
+        if self.logical_rho is not None:
+            out["logical_rho"] = to_json_array(self.logical_rho)
+        out["metrics"] = {k: float(v) for k, v in self.metrics.items()}
         if self.seed is not None:
             out["seed"] = self.seed
         if self.trials is not None:
@@ -106,7 +107,7 @@ def _table(p: np.ndarray, ok: np.ndarray, fail) -> np.ndarray:
 
 
 def _report(ident: SubsystemIdentification, masses: np.ndarray, scenario: str,
-            input_desc: str, logical: np.ndarray, seed: int | None = None,
+            input_desc: str, logical: np.ndarray | None, seed: int | None = None,
             trials: int | None = None) -> PipelineReport:
     """Rows and metrics of one outcome table; the "fail" row appears only
     when W is partial.  A sampled table (trials given) adds error_std."""
@@ -253,7 +254,8 @@ def run_monte_carlo(
 
     Encodes as run_corrected does given a code, else as run_exact.  Uses one
     counter-derived stream per fixed-size trial block from the given seed, so
-    results are reproducible and independent of scheduling.
+    results are reproducible and independent of scheduling.  The report has
+    no logical_rho: a sampled run draws outcomes, not states.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -270,8 +272,7 @@ def run_monte_carlo(
         row = (cum_d[branch] < u[:, 1][:, None]).sum(axis=1)
         row = np.minimum(row, len(counts) - 1)
         counts += np.bincount(row, minlength=len(counts))
-    logical = np.zeros((ident.logical_dim, ident.logical_dim), dtype=complex)
-    return _report(ident, counts / float(trials), scenario, input_desc, logical,
+    return _report(ident, counts / float(trials), scenario, input_desc, None,
                    seed=seed, trials=trials)
 
 

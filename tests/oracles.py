@@ -28,10 +28,14 @@ PAULI_1Q = (
 
 def dense_word(word) -> np.ndarray:
     """The 2^n x 2^n matrix of a PauliProduct as a Kronecker chain, qubit 0
-    the most significant factor."""
-    m = np.array([[word.phase]], dtype=complex)
-    for j in range(word.n):
-        m = np.kron(m, PAULI_1Q[word.symbol(j)])
+    the most significant factor, read from the printed word alone: the phase
+    token, then one of I, X, Y, Z per qubit."""
+    text = str(word)
+    letters = text.lstrip("+-i")
+    phase = {"": 1, "+i": 1j, "-": -1, "-i": -1j}[text[:len(text) - len(letters)]]
+    m = np.array([[phase]], dtype=complex)
+    for c in letters:
+        m = np.kron(m, PAULI_1Q["IXYZ".index(c)])
     return m
 
 

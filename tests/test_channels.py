@@ -503,6 +503,13 @@ def test_pauli_channel_guards():
     assert ch.probability("ZZ") == 0.0
 
 
+def test_pauli_channel_refuses_a_word_given_twice_up_to_phase():
+    # {I: .5, X: .5, -X: .5} sums to 1.5; keeping the last X would hide that
+    for probs in ({"I": 0.5, "X": 0.5, "-X": 0.5}, {"I": 0.5, "X": 0.25, "+iX": 0.25}):
+        with pytest.raises(ValueError, match="word X is given twice, up to phase"):
+            PauliChannel(1, probs)
+
+
 def test_pauli_channel_round_trip_through_kraus():
     ch = PauliChannel(1, {"I": 0.7, "X": 0.1, "Y": 0.05, "Z": 0.15})
     back = twirl(ch.as_kraus())

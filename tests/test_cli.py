@@ -159,6 +159,7 @@ def test_simulate_monte_carlo_keys(capsys):
     assert code == 0
     assert data["seed"] == 11 and data["trials"] == 2000
     assert data["metrics"]["error"] <= 0.02  # |+> is protected
+    assert "logical_rho" not in data  # a sampled run draws outcomes, not states
 
 
 def test_simulate_fail_threshold_exit(capsys):
@@ -377,6 +378,18 @@ def test_concat_levels_past_the_bit_cap_exit_64(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "MAX_CONCAT_BITS" in captured.err
+
+
+def test_bad_input_tokens_name_the_flag(capsys):
+    # not JSON, a superscript digit (str.isdigit admits it), indices past the
+    # dimension, and lists of the wrong length
+    for token in ("foo", "²", "2", "-1", "[1,0,0]", "[]"):
+        assert main(["simulate", "--code", "repetition3",
+                     "--channel", "independent n=3 bitflip p=0.25",
+                     f"--input={token}"]) == USAGE_EXIT, token
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--input {token} for a code of dimension 2" in captured.err
 
 
 def test_non_finite_numbers_are_refused(capsys):

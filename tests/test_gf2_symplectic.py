@@ -99,9 +99,47 @@ def test_commutes_matches_dense_commutator():
 
 def test_symplectic_vector_layout():
     w = PauliProduct.from_string("XZY")
-    # bit 2j is a_j, bit 2j+1 is b_j, with symbol code 2a+b: X=01, Y=10, Z=11
-    bits = [0, 1, 1, 1, 1, 0]
-    assert w.symplectic_int() == sum(b << i for i, b in enumerate(bits))
+    # qubit j at bit n-1-j of each mask: x = 101 (X, Y), z = 011 (Z, Y)
+    assert (w.x_bits, w.z_bits) == (0b101, 0b011)
+    assert w.symplectic_int() == 0b101_011
+    assert PauliProduct.from_string("-iZII") == PauliProduct(3, 0, 0b100, 3)
+
+
+def symplectic_form(u: int, v: int, n: int) -> int:
+    """(x_u . z_v + z_u . x_v) mod 2 for two (x | z) integers of n qubits."""
+    swapped = (v & ((1 << n) - 1)) << n | v >> n
+    return (u & swapped).bit_count() % 2
+
+
+def check_word_pair(a, b):
+    """multiply against the dense product, commutes against the symplectic
+    form and the dense commutator, from_string against str."""
+    da, db = dense_word(a), dense_word(b)
+    assert np.array_equal(dense_word(a.multiply(b)), da @ db), (str(a), str(b))
+    form = symplectic_form(a.symplectic_int(), b.symplectic_int(), a.n)
+    assert a.commutes(b) == (form == 0) == np.array_equal(da @ db, db @ da), (str(a), str(b))
+    assert PauliProduct.from_string(str(a)) == a
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_every_phased_word_multiplies_and_commutes(n):
+    texts = [ph + "".join(w) for ph in ("", "+i", "-", "-i")
+             for w in itertools.product("IXYZ", repeat=n)]
+    words = [PauliProduct.from_string(t) for t in texts]
+    assert [str(w) for w in words] == texts
+    # the 4^n * 4 phased words are exactly the (x, z, k) triples
+    assert set(words) == {PauliProduct(n, x, z, k) for x in range(2 ** n)
+                          for z in range(2 ** n) for k in range(4)}
+    for a in words:
+        for b in words:
+            check_word_pair(a, b)
+
+
+def test_random_phased_words_multiply_and_commute():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        check_word_pair(rand_word(rng, n), rand_word(rng, n))
 
 
 def test_dense_qubit_order():

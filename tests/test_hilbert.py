@@ -1,6 +1,7 @@
 """States, densities, operators: construction guards and tensor plumbing."""
 
 import ast
+import json
 import math
 import pathlib
 import tracemalloc
@@ -221,6 +222,22 @@ def test_exp_hermitian_is_rotation():
     want = np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
     assert np.allclose(u.matrix, want, atol=1e-12)
     assert u.is_unitary()
+
+
+def test_json_array_matches_the_elementwise_form():
+    def elementwise(a):
+        if a.ndim == 0:
+            return [float(a.real), float(a.imag)]
+        return [elementwise(x) for x in a]
+
+    rng = np.random.default_rng(5)
+    for shape in ((), (3,), (4, 4), (2, 3, 2), (0,)):
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a = np.where(rng.random(size=shape) < 0.3, complex(-0.0, -0.0), a)
+        got = to_json_array(a)
+        assert type(got) is list
+        assert json.dumps(got) == json.dumps(elementwise(np.asarray(a, dtype=complex)))
+    assert json.dumps(to_json_array(np.array(-0.0))) == "[-0.0, 0.0]"
 
 
 def test_json_array_round_trip():
