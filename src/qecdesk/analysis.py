@@ -220,8 +220,7 @@ def decoder_identification(code: CodeSubspace,
     w = verdict.blocks @ np.kron(a, np.eye(dl))  # column k*dl + m is D_k C e_m
     if np.abs(w.conj().T @ w - np.eye(s * dl)).max() > ATOL_EIG:
         raise RuntimeError("synthesized syndrome blocks are not orthonormal")
-    iso = LinearOperator((s, dl), code.physical_dims, w)
-    return SubsystemIdentification(code.physical_dims, s, dl, iso, syndrome_base=0,
+    return SubsystemIdentification(LinearOperator((s, dl), code.physical_dims, w),
                                    syndrome_labels=tuple(str(k) for k in range(s)))
 
 
@@ -407,7 +406,5 @@ def build_noiseless_qubit() -> SubsystemIdentification:
         primed(jx2, seed),
         primed(pi2, comp @ (jx2 @ seed)),
     ]
-    w_iso = np.column_stack(cols)
-    iso = LinearOperator((2, 2), (2, 2, 2), w_iso)
-    return SubsystemIdentification((2, 2, 2), 2, 2, iso, syndrome_base=0,
+    return SubsystemIdentification(LinearOperator((2, 2), (2, 2, 2), np.column_stack(cols)),
                                    syndrome_labels=("up", "down"))

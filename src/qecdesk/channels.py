@@ -433,8 +433,8 @@ class PauliChannel:
                 word = PauliProduct.from_string(word)
             if word.n != self.n:
                 raise ValueError(f"{word} does not act on {self.n} qubits")
-            if p < -ATOL_ALGEBRA:
-                raise ValueError(f"negative probability {p} for {word}")
+            if not p >= -ATOL_ALGEBRA:  # NaN fails too
+                raise ValueError(f"probability {p} for {word} is negative or NaN")
             if word.phase_free() in probs:
                 raise ValueError(f"word {word.phase_free()} is given twice, up to phase")
             probs[word.phase_free()] = float(max(p, 0.0))

@@ -379,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[], help="detectability/correctability")
     p.add_argument("--code", required=True, help="builtin name or definition file")
     p.add_argument("--errors", required=True,
-                   help="weightN, or comma list like Z1,X2 or XZZXI")
+                   help="weightN, or comma list like Z1,X2 or XZZXI; a word with a "
+                        "leading sign needs the = form, --errors=-iXZZXI")
     common(p)
     p.set_defaults(func=cmd_check)
 

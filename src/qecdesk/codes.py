@@ -8,6 +8,7 @@ physical support outside the range of W is detection ("fail") mass.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -36,54 +37,48 @@ class LeakageDetected(Exception):
 
 @dataclass(frozen=True, eq=False)
 class CodeSubspace:
-    """A subspace given by an orthonormal basis of physical states."""
+    """A code: an isometry C from C^k onto a subspace of the physical space,
+    its columns an orthonormal basis of the code."""
 
-    physical_dims: tuple[int, ...]
-    basis: tuple[StateVector, ...]
+    isometry: LinearOperator
 
     def __post_init__(self):
-        dims = tuple(self.physical_dims)
-        basis = tuple(self.basis)
-        if not basis:
-            raise ValueError("code subspace needs at least one basis vector")
-        v = np.column_stack([b.amplitudes for b in basis])
-        if any(b.dims != dims for b in basis):
-            raise ValueError("basis vectors disagree on physical dims")
-        # written so that a NaN Gram matrix fails too
-        if not np.abs(v.conj().T @ v - np.eye(len(basis))).max() <= ATOL_ALGEBRA:
+        c = self.isometry
+        if len(c.dims_in) != 1:
+            raise ValueError(f"code isometry input dims {c.dims_in} must be one factor (k,)")
+        if not c.is_isometry():
             raise ValueError("code basis is not orthonormal")
-        object.__setattr__(self, "physical_dims", dims)
-        object.__setattr__(self, "basis", basis)
+
+    @property
+    def physical_dims(self) -> tuple[int, ...]:
+        return self.isometry.dims_out
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.isometry.dims_in[0]
 
     @property
     def physical_dim(self) -> int:
-        return math.prod(self.physical_dims)
+        return self.isometry.matrix.shape[0]
 
     def basis_matrix(self) -> np.ndarray:
-        return np.column_stack([b.amplitudes for b in self.basis])
+        """C, read-only, one column per basis vector."""
+        return self.isometry.matrix
 
 
 @dataclass(frozen=True, eq=False)
 class SubsystemIdentification:
-    """Isometry W : |syndrome> (x) |logical> -> physical, column-major in syndrome."""
+    """Isometry W : |syndrome> (x) |logical> -> physical, column-major in
+    syndrome; the dimensions are W's."""
 
-    physical_dims: tuple[int, ...]
-    syndrome_dim: int
-    logical_dim: int
     isometry: LinearOperator
     syndrome_base: int = 0
     syndrome_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         w = self.isometry
-        if w.dims_in != (self.syndrome_dim, self.logical_dim):
-            raise ValueError("isometry input dims must be (syndrome, logical)")
-        if w.dims_out != tuple(self.physical_dims):
-            raise ValueError("isometry output dims must match physical dims")
+        if len(w.dims_in) != 2:
+            raise ValueError(f"isometry input dims {w.dims_in} must be a (syndrome, logical) pair")
         if not w.is_isometry():
             raise ValueError("W is not an isometry")
         if not 0 <= self.syndrome_base < self.syndrome_dim:
@@ -92,8 +87,20 @@ class SubsystemIdentification:
             raise ValueError("need one label per syndrome value")
 
     @property
+    def physical_dims(self) -> tuple[int, ...]:
+        return self.isometry.dims_out
+
+    @property
+    def syndrome_dim(self) -> int:
+        return self.isometry.dims_in[0]
+
+    @property
+    def logical_dim(self) -> int:
+        return self.isometry.dims_in[1]
+
+    @property
     def physical_dim(self) -> int:
-        return math.prod(self.physical_dims)
+        return self.isometry.matrix.shape[0]
 
     def is_complete(self) -> bool:
         return self.syndrome_dim * self.logical_dim == self.physical_dim
@@ -103,16 +110,19 @@ class SubsystemIdentification:
             return self.syndrome_labels[s]
         return str(s)
 
+    @functools.cached_property
+    def code_subspace(self) -> CodeSubspace:
+        """The code C: W's columns with the syndrome in its base value,
+        built once per identification."""
+        b, dl = self.syndrome_base, self.logical_dim
+        return CodeSubspace(LinearOperator(
+            (dl,), self.physical_dims, self.isometry.matrix[:, b * dl:(b + 1) * dl]))
+
     def encode(self, logical: StateVector) -> StateVector:
-        """Embed a logical state with the syndrome in its base value."""
+        """C psi: a logical state with the syndrome in its base value."""
         if logical.dims != (self.logical_dim,):
             raise ValueError(f"logical state must have dim {self.logical_dim}")
-        col = np.zeros(self.syndrome_dim * self.logical_dim, dtype=complex)
-        col[
-            self.syndrome_base * self.logical_dim:
-            (self.syndrome_base + 1) * self.logical_dim
-        ] = logical.amplitudes
-        return StateVector(self.physical_dims, self.isometry.matrix @ col)
+        return self.code_subspace.isometry.apply(logical)
 
     def subsystem_matrix(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
         """(W^dag rho W, leakage mass); the first factor is syndrome-major."""
@@ -128,14 +138,6 @@ class SubsystemIdentification:
                           self.syndrome_dim, self.logical_dim)
         return np.einsum("sasb->ab", t), leak
 
-    def code_subspace(self) -> CodeSubspace:
-        w = self.isometry.matrix
-        basis = []
-        for l in range(self.logical_dim):
-            col = w[:, self.syndrome_base * self.logical_dim + l]
-            basis.append(StateVector(self.physical_dims, col))
-        return CodeSubspace(self.physical_dims, tuple(basis))
-
 
 def syndrome_reset(ident: SubsystemIdentification, rho: DensityOperator) -> DensityOperator:
     """Discard the syndrome and re-prepare it in the base value.
@@ -143,9 +145,9 @@ def syndrome_reset(ident: SubsystemIdentification, rho: DensityOperator) -> Dens
     The logical factor is untouched.  Raises LeakageDetected if the state has
     weight outside the identified subspace.
     """
-    if rho.dims != tuple(ident.physical_dims):
+    if rho.dims != ident.physical_dims:
         raise ValueError(f"state dims {rho.dims} do not match the identification's "
-                         f"{tuple(ident.physical_dims)}")
+                         f"{ident.physical_dims}")
     rho_l, leak = ident.logical_matrix(rho.matrix)
     if leak > ATOL_ALGEBRA:
         raise LeakageDetected(leak)
@@ -256,11 +258,8 @@ def repetition_quantum() -> SubsystemIdentification:
         phys = int(word, 2)
         col = int(syn, 2) * 2 + int(log)
         w[phys, col] = 1.0
-    iso = LinearOperator((4, 2), (2, 2, 2), w)
-    return SubsystemIdentification(
-        (2, 2, 2), 4, 2, iso, syndrome_base=0,
-        syndrome_labels=("00", "01", "10", "11"),
-    )
+    return SubsystemIdentification(LinearOperator((4, 2), (2, 2, 2), w),
+                                   syndrome_labels=("00", "01", "10", "11"))
 
 
 def cyclic7() -> SubsystemIdentification:
@@ -272,16 +271,13 @@ def cyclic7() -> SubsystemIdentification:
     w = np.zeros((7, 6), dtype=complex)
     for k in range(6):
         w[k, (k % 3) * 2 + k // 3] = 1.0
-    iso = LinearOperator((3, 2), (7,), w)
-    return SubsystemIdentification(
-        (7,), 3, 2, iso, syndrome_base=1, syndrome_labels=("-1", "0", "1")
-    )
+    return SubsystemIdentification(LinearOperator((3, 2), (7,), w), syndrome_base=1,
+                                   syndrome_labels=("-1", "0", "1"))
 
 
 def trivial_two_qubit() -> SubsystemIdentification:
     """Two qubits with qubit 1 as syndrome and qubit 2 as logical, W = identity."""
-    iso = LinearOperator((2, 2), (2, 2), np.eye(4, dtype=complex))
-    return SubsystemIdentification((2, 2), 2, 2, iso, syndrome_base=0,
+    return SubsystemIdentification(LinearOperator((2, 2), (2, 2), np.eye(4, dtype=complex)),
                                    syndrome_labels=("0", "1"))
 
 
@@ -301,8 +297,7 @@ def three_spin_noiseless() -> SubsystemIdentification:
     w[4, 1], w[2, 1], w[1, 1] = s3, s3 * omega, s3 * omega.conjugate()
     w[3, 2], w[5, 2], w[6, 2] = -s3, -s3 * omega.conjugate(), -s3 * omega
     w[3, 3], w[5, 3], w[6, 3] = -s3, -s3 * omega, -s3 * omega.conjugate()
-    iso = LinearOperator((2, 2), (2, 2, 2), w)
-    return SubsystemIdentification((2, 2, 2), 2, 2, iso, syndrome_base=0,
+    return SubsystemIdentification(LinearOperator((2, 2), (2, 2, 2), w),
                                    syndrome_labels=("up", "down"))
 
 
@@ -338,12 +333,11 @@ def stabilizer_codespace(stab: StabilizerGeneratorSet) -> CodeSubspace:
         j = int(np.argmax(norms))
         if norms[j] <= 1e-9:
             raise ValueError("projector rank fell short of expected dimension")
-        v = res[:, j] / norms[j]
-        basis.append(StateVector((2,) * n, v))
-        res -= np.outer(v, v.conj() @ res)
+        basis.append(res[:, j] / norms[j])
+        res -= np.outer(basis[-1], basis[-1].conj() @ res)
     if np.linalg.norm(res) > 1e-7:
         raise ValueError("projector rank exceeds expected dimension")
-    return CodeSubspace((2,) * n, tuple(basis))
+    return CodeSubspace(LinearOperator((expected,), (2,) * n, np.column_stack(basis)))
 
 
 def five_qubit() -> tuple[StabilizerGeneratorSet, CodeSubspace]:
@@ -418,9 +412,8 @@ def parse_code_text(text: str, name: str = "inline") -> CodeDefinition:
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"basis vector {i} ({line[:40]!r}): {exc}") from None
         vecs.append(vec)
-    dims = _infer_dims(len(vecs[0]))
-    basis = tuple(StateVector(dims, v) for v in vecs)
-    return CodeDefinition(name, CodeSubspace(dims, basis))
+    c = LinearOperator((len(vecs),), _infer_dims(len(vecs[0])), np.column_stack(vecs))
+    return CodeDefinition(name, CodeSubspace(c))
 
 
 def builtin_code(name: str) -> CodeDefinition:
@@ -428,17 +421,17 @@ def builtin_code(name: str) -> CodeDefinition:
     if name == "repetition3":
         ident = repetition_quantum()
         stab = StabilizerGeneratorSet.from_strings(["ZZI", "ZIZ"])
-        return CodeDefinition(name, ident.code_subspace(), stab, ident)
+        return CodeDefinition(name, ident.code_subspace, stab, ident)
     if name == "cyclic7":
         ident = cyclic7()
-        return CodeDefinition(name, ident.code_subspace(), None, ident)
+        return CodeDefinition(name, ident.code_subspace, None, ident)
     if name == "threespin":
         ident = three_spin_noiseless()
-        return CodeDefinition(name, ident.code_subspace(), None, ident)
+        return CodeDefinition(name, ident.code_subspace, None, ident)
     if name == "fivequbit":
         stab, space = five_qubit()
         return CodeDefinition(name, space, stab, None)
     if name == "trivial2":
         ident = trivial_two_qubit()
-        return CodeDefinition(name, ident.code_subspace(), None, ident)
+        return CodeDefinition(name, ident.code_subspace, None, ident)
     raise ValueError(f"unknown code {name!r}")

@@ -95,8 +95,8 @@ class StateVector:
 
     def normalized(self) -> "StateVector":
         n = self.norm()
-        if n < ATOL_ALGEBRA:
-            raise ValueError("cannot normalize a (near-)zero vector")
+        if not n >= ATOL_ALGEBRA:
+            raise ValueError(f"cannot normalize a vector of norm {n}")
         return StateVector(self.dims, self.amplitudes / n)
 
     def overlap(self, other: "StateVector") -> complex:
@@ -128,9 +128,10 @@ class DensityOperator:
         d = math.prod(dims)
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-        if np.abs(m - m.conj().T).max() > ATOL_ALGEBRA:
+        # written so that a NaN matrix fails too
+        if not np.abs(m - m.conj().T).max() <= ATOL_ALGEBRA:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m) - 1.0) > ATOL_ALGEBRA:
+        if not abs(np.trace(m) - 1.0) <= ATOL_ALGEBRA:
             raise ValueError(f"density matrix trace {np.trace(m)} != 1")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", m)
@@ -140,11 +141,15 @@ class DensityOperator:
         return self.matrix.shape[0]
 
     def min_eigenvalue(self) -> float:
+        """NaN for a matrix with a non-finite entry, where eigvalsh can return
+        finite values."""
+        if not np.isfinite(self.matrix).all():
+            return math.nan
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
     def check_positive(self, atol: float = ATOL_ALGEBRA) -> None:
         lo = self.min_eigenvalue()
-        if lo < -atol:
+        if not -lo <= atol:
             raise ValueError(f"density matrix has eigenvalue {lo} < -{atol}")
 
 
@@ -256,7 +261,7 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
 def herm_eig(op: LinearOperator | np.ndarray):
     """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
     m = op.matrix if isinstance(op, LinearOperator) else np.asarray(op, dtype=complex)
-    if np.abs(m - m.conj().T).max() > ATOL_ALGEBRA:
+    if not np.abs(m - m.conj().T).max() <= ATOL_ALGEBRA:
         raise ValueError("operator is not Hermitian")
     return np.linalg.eigh(m)
 

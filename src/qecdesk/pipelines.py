@@ -3,9 +3,10 @@
 A decoder is an isometry W from syndrome (x) logical into the physical space,
 and every run reports one outcome table (_table): an "ok" and an "err" mass
 per syndrome, and a "fail" mass outside W.  Every run encodes by one rule
-(_setup): C psi when given a code subspace C, else W with the syndrome in its
-base value.  The exact runs push the encoded pure state through the noise as
-branch vectors and read the table from the syndrome blocks of W^dag rho W.
+(_setup): C psi for a code subspace C, by default W's own code (the columns
+of W with the syndrome in its base value).  The exact runs push the encoded
+pure state through the noise as branch vectors and read the table from the
+syndrome blocks of W^dag rho W.
 run_monte_carlo forms the same table per noise branch, from W^dag of each
 normalized branch vector, and samples a branch and then an outcome per trial
 from counter-derived streams, so it agrees with the exact run within sampling
@@ -78,20 +79,20 @@ class PipelineReport:
 
 
 def _setup(decoder, channel: KrausChannel, state: StateVector, code=None):
-    """The one encode rule, once input and noise fit W: (W, psi, C psi) given a
-    code subspace C (W read by _code_decoder), else (W, psi, W(|base> (x) psi)):
-    the same vector for W's own code, whose subspace is not built per call."""
-    ident = decoder if code is None else _code_decoder(code, decoder)
+    """The one encode rule, once input and noise fit W: (W, psi, C psi) for
+    the code subspace C, by default W's own code (W read by _code_decoder)."""
+    code = decoder.code_subspace if code is None else code
+    ident = _code_decoder(code, decoder)
     if state.dims != (ident.logical_dim,):
         raise ValueError(f"input state must be {ident.logical_dim}-dimensional")
-    if abs(state.norm() - 1.0) > ATOL_ALGEBRA:
+    # written so that a NaN norm fails too
+    if not abs(state.norm() - 1.0) <= ATOL_ALGEBRA:
         raise ValueError(f"input state is not normalized: norm {state.norm()!r}")
-    if channel.dims != tuple(ident.physical_dims):
+    if channel.dims != ident.physical_dims:
         raise ValueError(f"channel dims {channel.dims} do not match the code's "
-                         f"{tuple(ident.physical_dims)}")
+                         f"{ident.physical_dims}")
     psi = state.amplitudes
-    return ident, psi, (ident.encode(state).amplitudes if code is None
-                        else code.basis_matrix() @ psi)
+    return ident, psi, code.basis_matrix() @ psi
 
 
 def _table(p: np.ndarray, ok: np.ndarray, fail) -> np.ndarray:
@@ -154,8 +155,8 @@ def run_exact(
     scenario: str = "exact",
     input_desc: str = "",
 ) -> PipelineReport:
-    """Encode by the identification (syndrome in its base value), apply
-    noise, decode by the identification, enumerate outcomes."""
+    """Encode into the identification's own code (syndrome in its base
+    value), apply noise, decode by the identification, enumerate outcomes."""
     return _run(*_setup(ident, channel, input_state), channel, scenario, input_desc)
 
 
@@ -173,10 +174,9 @@ def _code_decoder(code: CodeSubspace,
         good = [(l, r) for l, r in decoder.ops if l not in decoder.bad_labels]
         w = np.hstack([r.conj().T @ code.basis_matrix() for _, r in good])
         decoder = SubsystemIdentification(
-            code.physical_dims, len(good), code.dim,
             LinearOperator((len(good), code.dim), code.physical_dims, w),
             syndrome_labels=tuple(l for l, _ in good))
-    if decoder.logical_dim != code.dim or tuple(decoder.physical_dims) != code.physical_dims:
+    if decoder.logical_dim != code.dim or decoder.physical_dims != code.physical_dims:
         raise ValueError("decoder does not match the code")
     return decoder
 
@@ -194,20 +194,11 @@ def run_corrected(
     return _run(*_setup(decoder, channel, input_state, code), channel, scenario, input_desc)
 
 
-def run_cyclic(
-    input_state: StateVector | None = None,
-    K: int = 20,
-    scenario: str = "cyclic7",
-) -> PipelineReport:
-    """The seven-level cyclic scenario: Gaussian shifts, detect, decode."""
-    if input_state is None:
-        input_state = PLUS
-        desc = "(|0>+|1>)/sqrt2"
-    else:
-        desc = "custom"
-    ident = cyclic7()
-    report = run_exact(ident, gaussian_shift(7, K), input_state, scenario, desc)
-    probs = gaussian_shift_probabilities(K)
+def run_cyclic() -> PipelineReport:
+    """The seven-level cyclic scenario: Gaussian shifts (K = 20) on
+    (|0>+|1>)/sqrt2, detect, decode."""
+    report = run_exact(cyclic7(), gaussian_shift(7, 20), PLUS, "cyclic7", "(|0>+|1>)/sqrt2")
+    probs = gaussian_shift_probabilities(20)
     metrics = dict(report.metrics)
     metrics["shift0_p"] = probs[0]
     metrics["shift1_p"] = probs[1]

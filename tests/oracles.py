@@ -15,7 +15,7 @@ import numpy as np
 
 from qecdesk.channels import KrausChannel, PauliChannel, depolarizing
 from qecdesk.codes import CodeSubspace, SubsystemIdentification
-from qecdesk.hilbert import ATOL_ALGEBRA, StateVector, exp_hermitian, pauli
+from qecdesk.hilbert import ATOL_ALGEBRA, LinearOperator, StateVector, exp_hermitian, pauli
 from qecdesk.pipelines import PipelineReport
 
 PAULI_1Q = (
@@ -53,10 +53,9 @@ def projector_codespace(stab) -> CodeSubspace:
     for _ in range(2 ** (n - stab.rank())):
         norms = np.linalg.norm(res, axis=0)
         j = int(np.argmax(norms))
-        v = res[:, j] / norms[j]
-        basis.append(StateVector((2,) * n, v))
-        res -= np.outer(v, v.conj() @ res)
-    return CodeSubspace((2,) * n, tuple(basis))
+        basis.append(res[:, j] / norms[j])
+        res -= np.outer(basis[-1], basis[-1].conj() @ res)
+    return CodeSubspace(LinearOperator((len(basis),), (2,) * n, np.column_stack(basis)))
 
 
 def syndrome_loop_run(ident: SubsystemIdentification, channel: KrausChannel,

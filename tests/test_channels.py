@@ -503,6 +503,11 @@ def test_pauli_channel_guards():
     assert ch.probability("ZZ") == 0.0
 
 
+def test_pauli_channel_refuses_a_nan_probability():
+    with pytest.raises(ValueError, match="probability nan for X"):
+        PauliChannel(1, {"I": 1.0, "X": math.nan})
+
+
 def test_pauli_channel_refuses_a_word_given_twice_up_to_phase():
     # {I: .5, X: .5, -X: .5} sums to 1.5; keeping the last X would hide that
     for probs in ({"I": 0.5, "X": 0.5, "-X": 0.5}, {"I": 0.5, "X": 0.25, "+iX": 0.25}):

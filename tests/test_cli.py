@@ -55,6 +55,18 @@ def test_check_full_words(capsys):
     assert data["lambda"] == [1.0, 0.0]
 
 
+def test_check_phased_word_needs_the_equals_form(capsys):
+    # after a space argparse reads the leading '-' as an option
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--code", "fivequbit", "--errors", "-iXZZXI"])
+    assert exc.value.code == USAGE_EXIT
+    assert "--errors" in capsys.readouterr().err
+    code, data = run_json(capsys, ["check", "--code", "fivequbit", "--errors=-iXZZXI"])
+    assert code == 0
+    assert data["detectable"] is True
+    assert data["lambda"] == [0.0, -1.0]
+
+
 def test_check_error_sets(capsys):
     code, data = run_json(capsys, ["check", "--code", "repetition3",
                                    "--errors", "I,X1,X2,X3"])

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import rand_state
 from oracles import projector_codespace
+from qecdesk.analysis import build_noiseless_qubit
 from qecdesk.channels import depolarizing, identity_channel, tensor_channels
 from qecdesk.codes import (
     CodeSubspace,
@@ -29,7 +30,7 @@ from qecdesk.codes import (
     trivial_two_qubit,
 )
 from qecdesk.gf2_symplectic import StabilizerGeneratorSet
-from qecdesk.hilbert import DensityOperator, StateVector, basis_state
+from qecdesk.hilbert import DensityOperator, LinearOperator, StateVector, basis_state
 
 # eight words split into (pairwise-parity syndrome, majority bit)
 REPETITION_TABLE = {
@@ -219,8 +220,7 @@ def test_stabilizer_codespace_five_qubit():
     p = c @ c.conj().T
     assert np.trace(p).real == pytest.approx(2.0, abs=1e-9)
     for g in stab.generators:
-        for b in space.basis:
-            assert np.allclose(g.dense() @ b.amplitudes, b.amplitudes, atol=1e-9)
+        assert np.allclose(g.dense() @ c, c, atol=1e-9)
     # basis is deterministic across rebuilds
     again = stabilizer_codespace(stab)
     assert np.allclose(space.basis_matrix(), again.basis_matrix(), atol=1e-15)
@@ -251,19 +251,52 @@ def test_stabilizer_codespace_rejects_inconsistent_generators():
 
 
 def test_code_subspace_guards():
-    with pytest.raises(ValueError):
-        CodeSubspace((2,), (basis_state((2,), 0), basis_state((2,), 0)))
+    for c in (np.ones((2, 2)) / math.sqrt(2), np.full((2, 1), np.nan)):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            CodeSubspace(LinearOperator((c.shape[1],), (2,), c))
+    with pytest.raises(ValueError, match="invalid subsystem dimensions"):
+        CodeSubspace(LinearOperator((0,), (2,), np.zeros((2, 0))))
+    with pytest.raises(ValueError, match="must be one factor"):
+        CodeSubspace(LinearOperator((1, 1), (2,), np.eye(2)[:, :1]))
 
 
 def test_identification_guards():
-    from qecdesk.hilbert import LinearOperator
-
-    with pytest.raises(ValueError):
-        SubsystemIdentification((2, 2), 2, 2,
-                                LinearOperator((2, 2), (2, 2), np.eye(4) * 0.5))
+    with pytest.raises(ValueError, match="not an isometry"):
+        SubsystemIdentification(LinearOperator((2, 2), (2, 2), np.eye(4) * 0.5))
+    for dims_in in ((8,), (2, 2, 2)):
+        with pytest.raises(ValueError, match=r"must be a \(syndrome, logical\) pair"):
+            SubsystemIdentification(LinearOperator(dims_in, (2, 2, 2), np.eye(8)))
     rep = repetition_quantum()
     with pytest.raises(ValueError):
         rep.encode(basis_state((4,), 0))
+
+
+BUILTIN_IDENTIFICATIONS = {"repetition3": repetition_quantum, "cyclic7": cyclic7,
+                           "threespin": three_spin_noiseless, "trivial2": trivial_two_qubit,
+                           "derived-threespin": build_noiseless_qubit}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_IDENTIFICATIONS))
+def test_identification_code_is_the_base_syndrome_columns(name):
+    """C is W(|base> (x) |l>) column by column, bit for bit, read from W's
+    dims; it is built once and encode is C psi."""
+    ident = BUILTIN_IDENTIFICATIONS[name]()
+    w = ident.isometry
+    assert (ident.physical_dims, (ident.syndrome_dim, ident.logical_dim)) == \
+        (w.dims_out, w.dims_in)
+    base = np.eye(ident.syndrome_dim)[ident.syndrome_base]
+    want = np.column_stack([w.matrix @ np.kron(base, e) for e in np.eye(ident.logical_dim)])
+    code = ident.code_subspace
+    assert code is ident.code_subspace
+    assert code.physical_dims == ident.physical_dims and code.dim == ident.logical_dim
+    assert np.array_equal(code.basis_matrix(), want)
+    rng = np.random.default_rng(61)
+    psi = StateVector((ident.logical_dim,), rand_state(rng, ident.logical_dim))
+    assert np.array_equal(ident.encode(psi).amplitudes, code.basis_matrix() @ psi.amplitudes)
+    if name != "derived-threespin":  # the others are command-line codes too
+        definition = builtin_code(name)
+        assert definition.subspace is definition.identification.code_subspace
+        assert np.array_equal(definition.subspace.basis_matrix(), want)
 
 
 def test_parse_code_text_stabilizer():

@@ -64,6 +64,24 @@ def test_density_guards():
         rho.check_positive()
 
 
+def _nan_density():
+    rho = DensityOperator((2,), np.eye(2) / 2)
+    object.__setattr__(rho, "matrix", np.diag([np.nan, np.nan]))  # past the constructor
+    return rho
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: DensityOperator((2,), np.diag([np.nan, np.nan])), "density matrix is not Hermitian"),
+    (lambda: _nan_density().check_positive(), "eigenvalue nan"),
+    (lambda: herm_eig(np.diag([np.nan, np.nan])), "operator is not Hermitian"),
+    (lambda: StateVector((2,), np.array([np.nan, 0.0])).normalized(), "norm nan"),
+], ids=["density", "check_positive", "herm_eig", "normalized"])
+def test_nan_is_refused(refuse, message):
+    # each check is written not (defect <= tol), so that NaN fails it
+    with pytest.raises(ValueError, match=message):
+        refuse()
+
+
 def test_density_from_state():
     s = StateVector((2,), np.array([1.0, 1.0]) / math.sqrt(2))
     rho = s.density()

@@ -41,7 +41,7 @@ from qecdesk.codes import (
     trivial_two_qubit,
 )
 from qecdesk.gf2_symplectic import PauliProduct, StabilizerGeneratorSet, identity_word
-from qecdesk.hilbert import DensityOperator, StateVector, basis_state
+from qecdesk.hilbert import DensityOperator, LinearOperator, StateVector, basis_state
 from qecdesk.pipelines import (
     REPORTED_THRESHOLDS,
     _branches,
@@ -273,8 +273,7 @@ def oracle_case(name):
         return five, weight_le_errors(5, 1), tensor_independent(bit_flip(0.2), 5), 16, True
     if name == "five-turned/bitflip^5":
         v = rand_unitary(np.random.default_rng(54), 32)
-        turned = CodeSubspace(five.physical_dims, tuple(
-            StateVector(five.physical_dims, c) for c in (v @ five.basis_matrix()).T))
+        turned = CodeSubspace(LinearOperator((2,), five.physical_dims, v @ five.basis_matrix()))
         errors = [(label, v @ e @ v.conj().T) for label, e in weight_le_errors(5, 1)]
         return turned, errors, tensor_independent(bit_flip(0.2), 5), 16, True
     if name == "steane/bitflip^7":
@@ -284,7 +283,7 @@ def oracle_case(name):
     rot = collective_rotation((0.3, -0.7, 1.1)).operator("rot")
     kick = np.kron(np.array([[0, 1], [1, 0]]), np.eye(4))
     noise = KrausChannel((2, 2, 2), (("rot", math.sqrt(0.8) * rot), ("x1", math.sqrt(0.2) * kick)))
-    return three_spin_noiseless().code_subspace(), spins, noise, 2, False
+    return three_spin_noiseless().code_subspace, spins, noise, 2, False
 
 
 @pytest.mark.parametrize("name", ["five/depolarizing^5", "five/bitflip^5",
@@ -402,8 +401,32 @@ def test_monte_carlo_encodes_alike_with_and_without_the_code(name):
     for psi, _ in table_inputs(ident, None, 57):
         bare = run_monte_carlo(ident, noise, psi, trials=20000, seed=9)
         coded = run_monte_carlo(ident, noise, psi, trials=20000, seed=9,
-                                code=ident.code_subspace())
+                                code=ident.code_subspace)
         assert coded.outcomes == bare.outcomes and coded.metrics == bare.metrics
+
+
+@pytest.mark.parametrize("name", ["repetition3/depolarizing^3", "cyclic7/gaussian7",
+                                  "threespin/bitflip^3", "trivial2/depolarizing^2"])
+def test_run_exact_is_run_corrected_on_the_identifications_own_code(name):
+    ident, noise, _ = table_case(name)
+    for psi, _ in table_inputs(ident, None, 58):
+        exact = run_exact(ident, noise, psi)
+        coded = run_corrected(ident.code_subspace, ident, noise, psi)
+        assert exact.outcomes == coded.outcomes and exact.metrics == coded.metrics
+        assert np.array_equal(exact.logical_rho, coded.logical_rho)
+
+
+def test_an_identification_builds_its_code_once(monkeypatch):
+    built = []
+    post_init = CodeSubspace.__post_init__
+    monkeypatch.setattr(CodeSubspace, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    ident, noise = cyclic7(), gaussian_shift(7, 20)
+    for _ in range(3):
+        run_exact(ident, noise, PLUS)
+        run_monte_carlo(ident, noise, PLUS, trials=10)
+        ident.encode(PLUS)
+    assert len(built) == 1
 
 
 def test_run_corrected_refuses_decoders_that_do_not_fit_the_code():
@@ -425,6 +448,12 @@ def test_run_refusals_name_the_values():
         run_exact(rep, noise, StateVector((2,), np.array([2.0, 0.0])))
     with pytest.raises(ValueError, match=r"^channel dims \(2,\) do not match the code's \(2, 2, 2\)$"):
         run_exact(rep, bit_flip(0.1), PLUS)
+
+
+def test_run_refuses_a_nan_input_state():
+    noise = tensor_independent(bit_flip(0.1), 3)
+    with pytest.raises(ValueError, match=r"^input state is not normalized: norm nan$"):
+        run_exact(repetition_quantum(), noise, StateVector((2,), np.array([np.nan, 0.0])))
 
 
 def test_reset_between_rounds_beats_no_reset():
