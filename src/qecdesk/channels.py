@@ -6,16 +6,23 @@ is what makes coarse per-label error bounds and branch sampling meaningful.
 
 The operators are stored in read-only stacked blocks of shape (c, d, d), each
 of at most 2**16 complex entries (1 MiB), or one operator when a single
-operator is larger; `ops` is the tuple of (label, view) pairs over them.
-Products of independent noise (batched Kronecker products) and synthesized
-recoveries are computed straight into these blocks, and consumers with a
-small per-operator body contract a whole block at a time: a pure input goes
-through as branch vectors A_k psi, one GEMV per block.  Trace preservation
-is checked once per channel against sum A^dag A: a product takes that sum
-as the Kronecker product of its factors' sums, since
+operator is larger; `ops` is the sequence of (label, view) pairs over them.
+Synthesized recoveries are computed straight into these blocks, and consumers
+with a small per-operator body contract a whole block at a time: a pure input
+goes through as branch vectors A_k psi, one GEMV per block.
+
+A product of independent noise keeps its flat factor channels as `factors`
+and builds its blocks (batched Kronecker products of factor operators) only
+when they are first read: through `blocks`, `branch_blocks`, or iterating or
+indexing `ops`.  Until then it answers from its factors: len(ops), labels(),
+operator(label) as a Kronecker product, and apply_pure / apply_matrix with
+one d_i^2 x d_i^2 superoperator sum_k A_k (x) conj(A_k) per factor, applied
+on that factor's (row, column) axis pair.  Its caps are admitted and its
+labels checked at construction, as for the flat form it stands for.  Trace
+preservation is checked once per channel against sum A^dag A: a product
+takes that sum as the Kronecker product of its factors' sums, since
 sum (A (x) B)^dag (A (x) B) = (sum A^dag A) (x) (sum B^dag B); any other
-channel computes it with one real SYRK per block.  apply_matrix, the
-general mixed-state path, stays a loop over operators.
+channel computes it with one real SYRK per block.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,18 +77,70 @@ def _gram(blocks, d: int) -> np.ndarray:
     return (acc[0::2, 0::2] + acc[1::2, 1::2]) + 1j * (acc[0::2, 1::2] - acc[1::2, 0::2])
 
 
+def _known_labels(bad_labels, labels: list[str]) -> frozenset[str]:
+    """bad_labels as a frozenset, refused if one of them is not in labels."""
+    bad = frozenset(bad_labels)
+    unknown = sorted(bad.difference(labels))
+    if unknown:
+        raise ValueError(f"bad_labels names {unknown[0]!r}, which is not a label of the channel")
+    return bad
+
+
+class _Operators(Sequence):
+    """A channel's (label, operator) pairs.
+
+    len() reads the labels alone.  The blocks come from make(start, stop),
+    called once per block and in order on the first read of `blocks` or of
+    a pair, and are kept from then on.
+    """
+
+    def __init__(self, labels: list[str], d: int, make):
+        self.labels, self._d, self._make = labels, d, make
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        return self._pairs[i]
+
+    def __iter__(self):
+        return iter(self._pairs)
+
+    @functools.cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        d, n = self._d, len(self.labels)
+        step = _block_len(d)
+        blocks = []
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            blk = self._make(start, stop)
+            if blk.shape != (stop - start, d, d) or blk.dtype != complex:
+                raise ValueError(f"operators {start}:{stop} came as {blk.dtype} {blk.shape}, "
+                                 f"want complex {(stop - start, d, d)}")
+            blk.setflags(write=False)
+            blocks.append(blk)
+        self._make = None
+        return tuple(blocks)
+
+    @functools.cached_property
+    def _pairs(self) -> tuple[tuple[str, np.ndarray], ...]:
+        return tuple(zip(self.labels, itertools.chain(*self.blocks)))
+
+
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Trace-preserving operator sum on a fixed tensor-product space.
 
     `blocks` holds the operators in order, _block_len(d) to a block (the last
     may be shorter); `ops` pairs each label with its view into them.
+    `factors` holds a product's flat factor channels (empty for a flat
+    channel), from which its blocks are built on first read.
     """
 
     dims: tuple[int, ...]
-    ops: tuple[tuple[str, np.ndarray], ...]
+    ops: Sequence[tuple[str, np.ndarray]]
     bad_labels: frozenset[str] = frozenset()
-    blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    factors: tuple[KrausChannel, ...] = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         pairs = tuple(self.ops)
@@ -99,25 +159,28 @@ class KrausChannel:
 
     @classmethod
     def _build(cls, dims, labels: list[str], make, bad_labels: frozenset[str],
-               gram: np.ndarray | None = None) -> KrausChannel:
+               gram: np.ndarray | None = None,
+               factors: tuple[KrausChannel, ...] = ()) -> KrausChannel:
         """Channel whose operators start:stop come stacked from make(start, stop).
 
         make is called once per block, in order, so a caller that computes
         operators in batches writes them straight into their blocks.  gram,
-        when given, is the operators' sum A^dag A, known to the caller.
+        when given, is the operators' sum A^dag A, known to the caller; then
+        no block is built before it is read.
         """
         ch = object.__new__(cls)
         object.__setattr__(ch, "dims", dims)
         object.__setattr__(ch, "bad_labels", bad_labels)
+        object.__setattr__(ch, "factors", factors)
         ch._seal(labels, make, gram)
         return ch
 
     def _seal(self, labels: list[str], make, gram: np.ndarray | None = None) -> None:
-        """The one validation behind both ways in; builds and freezes the blocks.
+        """The one validation behind both ways in; freezes the operators.
 
         Trace preservation compares sum A^dag A with the identity: the gram a
         caller passes (tensor_channels forms it from the factors), or else
-        _gram over the blocks just built.
+        _gram over the blocks, built here.
         """
         object.__setattr__(self, "dims", _check_dims(self.dims))
         d = self.dim
@@ -128,39 +191,38 @@ class KrausChannel:
             seen = set()
             dup = next(l for l in labels if l in seen or seen.add(l))
             raise ValueError(f"duplicate label {dup!r}")
-        bad = frozenset(self.bad_labels)
-        if not bad <= set(labels):
-            raise ValueError("bad_labels mentions unknown labels")
-        blocks = []
-        step = _block_len(d)
-        for start in range(0, len(labels), step):
-            stop = min(start + step, len(labels))
-            blk = make(start, stop)
-            if blk.shape != (stop - start, d, d) or blk.dtype != complex:
-                raise ValueError(f"operators {start}:{stop} came as {blk.dtype} {blk.shape}, "
-                                 f"want complex {(stop - start, d, d)}")
-            blk.setflags(write=False)
-            blocks.append(blk)
+        bad = _known_labels(self.bad_labels, labels)
+        ops = _Operators(labels, d, make)
         if gram is None:
-            gram = _gram(blocks, d)
+            gram = _gram(ops.blocks, d)
         if not np.abs(gram - np.eye(d)).max() <= ATOL_ALGEBRA:
             raise ValueError("operator sum is not trace preserving")
-        object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "ops", tuple(zip(labels, itertools.chain(*blocks))))
+        object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "bad_labels", bad)
 
     @property
     def dim(self) -> int:
         return math.prod(self.dims)
 
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        return self.ops.blocks
+
     def labels(self) -> list[str]:
-        return [label for label, _ in self.ops]
+        return list(self.ops.labels)
 
     def operator(self, label: str) -> np.ndarray:
-        for lab, a in self.ops:
-            if lab == label:
-                return a
-        raise KeyError(label)
+        """The operator of one label; a product's is the Kronecker product of
+        its factors' operators, formed as its block would form it."""
+        try:
+            j = self.ops.labels.index(label)
+        except ValueError:
+            raise KeyError(label) from None
+        if not self.factors:
+            return self.ops[j][1]
+        a = _kron_rows(self.factors, j, j + 1)[0]
+        a.setflags(write=False)
+        return a
 
     def branch_blocks(self, psi: np.ndarray):
         """Yield, block by block, the branch vectors A_k psi stacked as (c, d).
@@ -174,18 +236,37 @@ class KrausChannel:
     def apply_pure(self, psi: np.ndarray) -> np.ndarray:
         """The channel applied to |psi><psi|: sum_k (A_k psi)(A_k psi)^dag.
 
-        Costs 2 m d^2 against apply_matrix's 2 m d^3 on the outer product.
+        Costs 2 m d^2 against apply_matrix's 2 m d^3 on the outer product; a
+        product goes through apply_matrix's factor path instead.
         """
+        if self.factors:
+            return self.apply_matrix(np.outer(psi, psi.conj()))
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for y in self.branch_blocks(psi):
             out += y.T @ y.conj()
         return out
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(m, dtype=complex)
-        for _, a in self.ops:
-            out += a @ m @ a.conj().T
-        return out
+        """sum_k A_k m A_k^dag: a loop over the operators of a flat channel;
+        a product applies each factor's superoperator on its axis pair."""
+        if not self.factors:
+            out = np.zeros_like(m, dtype=complex)
+            for _, a in self.ops:
+                out += a @ m @ a.conj().T
+            return out
+        ds = tuple(f.dim for f in self.factors)
+        n = len(ds)
+        t = np.asarray(m, dtype=complex).reshape(ds + ds)
+        for q, f in enumerate(self.factors):
+            t = np.tensordot(f._superoperator, t, axes=((2, 3), (q, n + q)))
+            t = np.moveaxis(t, (0, 1), (q, n + q))
+        return t.reshape(self.dim, self.dim)
+
+    @functools.cached_property
+    def _superoperator(self) -> np.ndarray:
+        """S[a, b, c, e] = sum_k A_k[a, c] conj(A_k[b, e]), so that
+        sum_k A_k m A_k^dag = sum_(c, e) S[:, :, c, e] m[c, e]."""
+        return sum(np.einsum("kac,kbe->abce", blk, blk.conj()) for blk in self.blocks)
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
         if rho.dims != self.dims:
@@ -331,12 +412,13 @@ def tensor_channels(*channels: KrausChannel) -> KrausChannel:
     """Independent noise on disjoint factors; one operator per label tuple.
 
     Component labels concatenate directly when every factor uses
-    single-character labels, and are comma-joined otherwise.  Operators come
-    in label-tuple order (last factor fastest) and are built a block at a
-    time: the block's operator indices are unraveled into factor indices and
-    the gathered factor operators folded with batched Kronecker products.
-    The product's sum A^dag A is the Kronecker product of the factors' sums,
-    each computed once from that factor's own blocks.
+    single-character labels, and are comma-joined otherwise.  The result
+    keeps the flat factors (a product factor contributes its own) and builds
+    no operator here: its caps, labels and trace preservation are checked
+    now, the last against the Kronecker product of the factors' sums
+    A^dag A, each computed once from that factor's own blocks.  Its blocks,
+    when read, hold the operators in label-tuple order (last factor
+    fastest), a block at a time (see _kron_rows).
     """
     if not channels:
         raise ValueError("tensor of no channels")
@@ -355,15 +437,22 @@ def tensor_channels(*channels: KrausChannel) -> KrausChannel:
         flags = np.array([l in ch.bad_labels for l in ls])
         bad |= flags.reshape((-1,) + (1,) * (len(shape) - axis - 1))
 
-    def product(start, stop):
-        idx = np.unravel_index(np.arange(start, stop), shape)
-        return _kron_stack([_gather(ch, i) for ch, i in zip(channels, idx)])
-
+    # a product's operator index unravels row-major over its own factors, so
+    # nested products flatten without reordering a single operator
+    factors = tuple(f for ch in channels for f in (ch.factors or (ch,)))
     factor_gram = functools.cache(lambda ch: _gram(ch.blocks, ch.dim))  # a repeated factor once
-    gram = functools.reduce(np.kron, map(factor_gram, channels))
-    return KrausChannel._build(
-        dims, labels, product, frozenset(itertools.compress(labels, bad.reshape(-1))), gram
-    )
+    gram = functools.reduce(np.kron, map(factor_gram, factors))
+    return KrausChannel._build(dims, labels, functools.partial(_kron_rows, factors),
+                               frozenset(itertools.compress(labels, bad.reshape(-1))),
+                               gram, factors)
+
+
+def _kron_rows(factors: tuple[KrausChannel, ...], start: int, stop: int) -> np.ndarray:
+    """Operators start:stop of the product of flat factors, as one stack: the
+    operator indices unraveled into factor indices, and the gathered factor
+    operators folded with batched Kronecker products."""
+    idx = np.unravel_index(np.arange(start, stop), tuple(len(f.ops) for f in factors))
+    return _kron_stack([_gather(f, i) for f, i in zip(factors, idx)])
 
 
 def _gather(ch: KrausChannel, idx: np.ndarray) -> np.ndarray:

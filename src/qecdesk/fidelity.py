@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _BLOCK_ENTRIES, KrausChannel, _philox_blocks
+from .channels import _BLOCK_ENTRIES, KrausChannel, _known_labels, _philox_blocks
 from .hilbert import StateVector
 
 
@@ -39,8 +39,11 @@ def entanglement_fidelity(ch: KrausChannel) -> float:
     """Overlap of a maximally entangled pair with itself after one-sided noise.
 
     Evaluated in closed form: each operator A contributes |tr A|^2 / d^2,
-    whichever maximally entangled state is chosen.
+    whichever maximally entangled state is chosen.  A product's value is the
+    product of its factors' values, since |tr(A (x) B)|^2 = |tr A|^2 |tr B|^2.
     """
+    if ch.factors:
+        return math.prod(map(entanglement_fidelity, ch.factors))
     d = ch.dim
     total = sum(float(np.sum(np.abs(np.einsum("mii->m", blk)) ** 2)) for blk in ch.blocks)
     return total / d ** 2
@@ -110,7 +113,7 @@ def average_error_monte_carlo(ch: KrausChannel, trials: int, seed: int = 0) -> M
 def bad_branch_probability(ch: KrausChannel, psi: StateVector,
                            bad_labels=None) -> float:
     """Exact probability of landing in a flagged branch from a pure input."""
-    bad = frozenset(bad_labels) if bad_labels is not None else ch.bad_labels
+    bad = ch.bad_labels if bad_labels is None else _known_labels(bad_labels, ch.labels())
     flagged = np.array([label in bad for label in ch.labels()])
     total = 0.0
     start = 0
@@ -128,7 +131,7 @@ def bad_branch_error_bound(ch: KrausChannel, bad_labels=None) -> float:
     every input, tight when a single flagged operator is proportional to a
     unitary.
     """
-    bad = frozenset(bad_labels) if bad_labels is not None else ch.bad_labels
+    bad = ch.bad_labels if bad_labels is None else _known_labels(bad_labels, ch.labels())
     total = 0.0
     for label, a in ch.ops:
         if label in bad:

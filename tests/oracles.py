@@ -1,10 +1,11 @@
 """Reference constructions that the package's fast paths replaced.
 
 Each builds the same object the straightforward way: Kronecker chains and
-projector products for Pauli words and codespaces, per-syndrome and
-per-branch loops for the pipeline outcome tables, and the average over the
-24-element rotation group for the Clifford twirl.  Tests compare the
-package against them.
+projector products for Pauli words and codespaces, loops over the operators
+of a flat channel for the action and entanglement fidelity of a product,
+per-syndrome and per-branch loops for the pipeline outcome tables, and the
+average over the 24-element rotation group for the Clifford twirl.  Tests
+compare the package against them.
 """
 
 import functools
@@ -56,6 +57,18 @@ def projector_codespace(stab) -> CodeSubspace:
         basis.append(res[:, j] / norms[j])
         res -= np.outer(basis[-1], basis[-1].conj() @ res)
     return CodeSubspace(LinearOperator((len(basis),), (2,) * n, np.column_stack(basis)))
+
+
+def flat_apply_matrix(channel: KrausChannel, m: np.ndarray) -> np.ndarray:
+    """sum a m a^dag over the operators of KrausChannel(channel.dims, channel.ops)."""
+    flat = KrausChannel(channel.dims, channel.ops)
+    return sum(a @ m @ a.conj().T for _, a in flat.ops)
+
+
+def flat_entanglement_fidelity(channel: KrausChannel) -> float:
+    """sum |tr a|^2 / d^2 over the operators of KrausChannel(channel.dims, channel.ops)."""
+    flat = KrausChannel(channel.dims, channel.ops)
+    return sum(abs(np.trace(a)) ** 2 for _, a in flat.ops) / flat.dim ** 2
 
 
 def syndrome_loop_run(ident: SubsystemIdentification, channel: KrausChannel,

@@ -9,9 +9,20 @@ import numpy as np
 import pytest
 
 from conftest import rand_density, rand_state, rand_unitary
-from oracles import group_average_twirl, rotation_group
+from oracles import (
+    flat_apply_matrix,
+    flat_entanglement_fidelity,
+    group_average_twirl,
+    rotation_group,
+)
 import qecdesk.channels as channels_module
-from qecdesk.analysis import synthesize_decoder, weight_le_errors
+from qecdesk.analysis import (
+    correctable_quantum,
+    decoder_identification,
+    synthesize_decoder,
+    weight_le_errors,
+    weight_le_words,
+)
 from qecdesk.channels import (
     KrausChannel,
     MAX_KRAUS_OPS,
@@ -34,7 +45,9 @@ from qecdesk.channels import (
     twirl,
 )
 from qecdesk.codes import builtin_code
+from qecdesk.fidelity import entanglement_fidelity
 from qecdesk.hilbert import DensityOperator, LinearOperator, StateVector, basis_state
+from qecdesk.pipelines import PLUS, run_corrected
 
 SIGMA = {
     "I": np.eye(2, dtype=complex),
@@ -368,16 +381,18 @@ def test_product_bytes_are_capped(monkeypatch):
 def test_product_build_keeps_temporaries_small():
     """Building large products holds at most a few MiB beyond the result.
 
-    The operators are built and validated one block of <= 1 MiB at a time.
-    Freed arrays of 2-32 MiB make the allocator raise its mmap threshold and
-    keep the heap they used, so a build that stacks whole channels at once
-    shows up as resident memory long after the arrays are gone.
+    The operators are built, on the first read of `blocks`, one block of
+    <= 1 MiB at a time.  Freed arrays of 2-32 MiB make the allocator raise
+    its mmap threshold and keep the heap they used, so a build that stacks
+    whole channels at once shows up as resident memory long after the arrays
+    are gone.
     """
     mixes = ([depolarizing(0.1)] * 5, [depolarizing(0.1)] * 3 + [bit_flip(0.2)] * 3)
     for factors in mixes:
+        ch = tensor_channels(*factors)
         tracemalloc.start()
         try:
-            ch = tensor_channels(*factors)
+            ch.blocks
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -409,12 +424,78 @@ def test_apply_pure_matches_apply_matrix_oracle():
     rng = np.random.default_rng(41)
     for name, ch in cases.items():
         psi = rand_state(rng, ch.dim)
-        got = ch.apply_pure(psi)
-        assert np.abs(got - ch.apply_matrix(np.outer(psi, psi.conj()))).max() <= 1e-12, name
+        rho = np.outer(psi, psi.conj())
+        want = flat_apply_matrix(ch, rho)
+        assert np.abs(ch.apply_pure(psi) - want).max() <= 1e-12, name
+        assert np.abs(ch.apply_matrix(rho) - want).max() <= 1e-12, name
         # the branch vectors are the operators applied to psi, in label order
         branches = np.concatenate(list(ch.branch_blocks(psi)))
         assert branches.shape == (len(ch.ops), ch.dim), name
         assert np.abs(branches - np.stack([a @ psi for _, a in ch.ops])).max() <= 1e-12, name
+
+
+def factor_path_cases():
+    """Products whose factor path is checked against the flat oracles."""
+    pair = (bit_flip(0.3), gaussian_shift(7))
+    yield from flagged_products()
+    yield [depolarizing(0.1)] * 5
+    yield [bit_flip(0.1)] * 7
+    yield pair
+    yield pair[::-1]
+    yield tensor_independent(depolarizing(0.1), 4), bit_flip(0.2)
+
+
+def test_product_factor_path_matches_flat_oracles():
+    rng = np.random.default_rng(47)
+    for factors in factor_path_cases():
+        ch = tensor_channels(*factors)
+        assert len(ch.factors) == sum(len(f.factors) or 1 for f in factors), ch.dims
+        psi = rand_state(rng, ch.dim)
+        m = rng.uniform(-1, 1, size=(ch.dim, ch.dim, 2)) @ [1, 1j]  # a general matrix
+        # the factor path first, before anything reads the operators
+        got_pure, got_matrix = ch.apply_pure(psi), ch.apply_matrix(m)
+        got_fe = entanglement_fidelity(ch)
+        got_ops = {label: ch.operator(label) for label in ch.labels()}
+        with pytest.raises(KeyError):
+            ch.operator("?")
+        # then the blocks on first read, and the flat oracles over them
+        blocks = ch.blocks
+        assert np.shares_memory(ch.ops[0][1], blocks[0])
+        assert_same_channel(ch, kron_chain(*factors))
+        flat = dict(KrausChannel(ch.dims, ch.ops).ops)
+        assert np.abs(got_pure - flat_apply_matrix(ch, np.outer(psi, psi.conj()))).max() <= 1e-12
+        assert np.abs(got_matrix - flat_apply_matrix(ch, m)).max() <= 1e-12
+        assert abs(got_fe - flat_entanglement_fidelity(ch)) <= 1e-12, ch.dims
+        # a single operator is formed as its block forms it, bit for bit
+        assert got_ops.keys() == flat.keys()
+        assert all(np.array_equal(a, flat[label]) and not a.flags.writeable
+                   for label, a in got_ops.items()), ch.dims
+
+
+def test_factor_path_builds_no_flat_blocks():
+    """depolarizing^5 through every consumer that reads its factors: its flat
+    form is 3,125 operators of 32 x 32 (51 MB), and none of it is built."""
+    five = builtin_code("fivequbit").subspace
+    decoder = decoder_identification(five, correctable_quantum(five, weight_le_words(5, 1)))
+    dep = depolarizing(0.1)
+    psi = five.basis_matrix() @ PLUS.amplitudes
+    tracemalloc.start()
+    try:
+        ch = tensor_independent(dep, 5)
+        assert len(ch.ops) == 5 ** 5 and len(ch.labels()) == 5 ** 5
+        a = ch.operator("xyz10")
+        rho = ch.apply_pure(psi)
+        ch.apply_matrix(rho)
+        fe = entanglement_fidelity(ch)
+        report = run_corrected(five, decoder, ch, PLUS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
+    word = functools.reduce(np.kron, [SIGMA[u] for u in "XYZII"])
+    assert np.abs(a - (math.sqrt(0.1) / 2) ** 4 * math.sqrt(0.9) * word).max() <= 1e-15
+    assert abs(fe - (1 - 0.075) ** 5) <= 1e-12
+    assert abs(report.metrics["error"] - 0.0316175) <= 1e-12
 
 
 def test_real_view_gram_matches_complex_oracle():

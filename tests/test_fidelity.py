@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_state, rand_unitary
+import qecdesk.channels as channels_module
 from qecdesk.channels import (
     KrausChannel,
     bit_flip,
@@ -230,3 +231,22 @@ def test_bad_branch_bound_tight_for_unitary_branch():
     rng = np.random.default_rng(43)
     psi = StateVector((3,), rand_state(rng, 3))
     assert bad_branch_probability(ch, psi) == pytest.approx(bound, abs=1e-12)
+
+
+def test_bad_labels_the_channel_lacks_are_refused(monkeypatch):
+    ch = tensor_independent(bit_flip(0.1), 3)
+    psi = basis_state((2, 2, 2), 0)
+    refusal = "bad_labels names 'xxq', which is not a label of the channel"
+
+    def no_build(stacks):
+        raise AssertionError("the label check built operators")
+
+    with monkeypatch.context() as m:
+        m.setattr(channels_module, "_kron_stack", no_build)
+        with pytest.raises(ValueError, match=refusal):
+            bad_branch_probability(ch, psi, {"xxq"})
+        with pytest.raises(ValueError, match=refusal):
+            bad_branch_error_bound(ch, {"xx0", "xxq"})
+    # known labels still count: one flip on the third qubit
+    assert bad_branch_probability(ch, psi, {"00x"}) == pytest.approx(0.1 * 0.9 ** 2, abs=1e-15)
+    assert bad_branch_error_bound(ch, {"00x"}) == pytest.approx(0.1 * 0.9 ** 2, abs=1e-15)
