@@ -17,12 +17,13 @@ when they are first read: through `blocks`, `branch_blocks`, or iterating or
 indexing `ops`.  Until then it answers from its factors: len(ops), labels(),
 operator(label) as a Kronecker product, and apply_pure / apply_matrix with
 one d_i^2 x d_i^2 superoperator sum_k A_k (x) conj(A_k) per factor, applied
-on that factor's (row, column) axis pair.  Its caps are admitted and its
-labels checked at construction, as for the flat form it stands for.  Trace
-preservation is checked once per channel against sum A^dag A: a product
-takes that sum as the Kronecker product of its factors' sums, since
-sum (A (x) B)^dag (A (x) B) = (sum A^dag A) (x) (sum B^dag B); any other
-channel computes it with one real SYRK per block.
+on that factor's (row, column) axis pair.  Its label list, too, is built on
+first read (see _ProductOperators).  Its caps are admitted and its labels
+checked at construction, as for the flat form it stands for.  Trace
+preservation is checked once per channel against sum A^dag A: a flat
+channel computes it with one real SYRK per block and keeps it, and a
+product folds its factors' kept sums, since
+sum (A (x) B)^dag (A (x) B) = (sum A^dag A) (x) (sum B^dag B).
 """
 
 from __future__ import annotations
@@ -77,10 +78,10 @@ def _gram(blocks, d: int) -> np.ndarray:
     return (acc[0::2, 0::2] + acc[1::2, 1::2]) + 1j * (acc[0::2, 1::2] - acc[1::2, 0::2])
 
 
-def _known_labels(bad_labels, labels: list[str]) -> frozenset[str]:
-    """bad_labels as a frozenset, refused if one of them is not in labels."""
+def _known_labels(bad_labels, ops: _Operators) -> frozenset[str]:
+    """bad_labels as a frozenset, refused if one is not a label of ops."""
     bad = frozenset(bad_labels)
-    unknown = sorted(bad.difference(labels))
+    unknown = sorted(bad.difference(ops.labels)) if bad else ()
     if unknown:
         raise ValueError(f"bad_labels names {unknown[0]!r}, which is not a label of the channel")
     return bad
@@ -89,10 +90,13 @@ def _known_labels(bad_labels, labels: list[str]) -> frozenset[str]:
 class _Operators(Sequence):
     """A channel's (label, operator) pairs.
 
-    len() reads the labels alone.  The blocks come from make(start, stop),
-    called once per block and in order on the first read of `blocks` or of
-    a pair, and are kept from then on.
+    The blocks come from make(start, stop), called once per block and in
+    order on the first read of `blocks` or of a pair, and are kept from then
+    on.  `unique` says whether the labels are known to be distinct without a
+    check over them.
     """
+
+    unique = False
 
     def __init__(self, labels: list[str], d: int, make):
         self.labels, self._d, self._make = labels, d, make
@@ -106,9 +110,16 @@ class _Operators(Sequence):
     def __iter__(self):
         return iter(self._pairs)
 
+    def find(self, label: str) -> int:
+        """The position of label; KeyError if it is not one."""
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise KeyError(label) from None
+
     @functools.cached_property
     def blocks(self) -> tuple[np.ndarray, ...]:
-        d, n = self._d, len(self.labels)
+        d, n = self._d, len(self)
         step = _block_len(d)
         blocks = []
         for start in range(0, n, step):
@@ -127,6 +138,43 @@ class _Operators(Sequence):
         return tuple(zip(self.labels, itertools.chain(*self.blocks)))
 
 
+class _ProductOperators(_Operators):
+    """A product's pairs: label j joins with sep its operands' labels at j's
+    indices unraveled row-major over them, and the list is built on first
+    read.  The joined labels are unique when sep is "" (one-character
+    operand labels) or no operand label holds ","; then find() splits a
+    label into its operands' labels instead of searching.
+    """
+
+    def __init__(self, operands: tuple[KrausChannel, ...], sep: str, d: int, make):
+        self._operands, self._sep, self._d, self._make = operands, sep, d, make
+        self.unique = sep == "" or not any("," in l for ch in operands for l in ch.ops.labels)
+
+    def __len__(self) -> int:
+        return math.prod(len(ch.ops) for ch in self._operands)
+
+    @functools.cached_property
+    def labels(self) -> list[str]:
+        names = [ch.ops.labels for ch in self._operands]
+        return [self._sep.join(combo) for combo in itertools.product(*names)]
+
+    def find(self, label: str) -> int:
+        if not self.unique:
+            return super().find(label)
+        if not isinstance(label, str):
+            raise KeyError(label)
+        parts = label.split(",") if self._sep else list(label)
+        if len(parts) != len(self._operands):
+            raise KeyError(label)
+        j = 0
+        try:
+            for ch, part in zip(self._operands, parts):
+                j = j * len(ch.ops) + ch.ops.find(part)
+        except KeyError:
+            raise KeyError(label) from None
+        return j
+
+
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Trace-preserving operator sum on a fixed tensor-product space.
@@ -134,19 +182,23 @@ class KrausChannel:
     `blocks` holds the operators in order, _block_len(d) to a block (the last
     may be shorter); `ops` pairs each label with its view into them.
     `factors` holds a product's flat factor channels (empty for a flat
-    channel), from which its blocks are built on first read.
+    channel), from which its blocks are built on first read.  A flat
+    channel keeps its sum A^dag A as `_completeness` (None for a product).
     """
 
     dims: tuple[int, ...]
     ops: Sequence[tuple[str, np.ndarray]]
     bad_labels: frozenset[str] = frozenset()
     factors: tuple[KrausChannel, ...] = field(default=(), init=False, repr=False)
+    _completeness: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pairs = tuple(self.ops)
+        labels = [str(label) for label, _ in pairs]
+        object.__setattr__(self, "dims", _check_dims(self.dims))
+        d = self.dim
 
         def stack(start, stop):
-            d = self.dim  # _seal has validated dims before the first block
             blk = np.empty((stop - start, d, d), dtype=complex)
             for j, (label, a) in enumerate(pairs[start:stop]):
                 a = np.asarray(a)
@@ -155,47 +207,47 @@ class KrausChannel:
                 blk[j] = a
             return blk
 
-        self._seal([str(label) for label, _ in pairs], stack)
+        self._seal(_Operators(labels, d, stack))
 
     @classmethod
-    def _build(cls, dims, labels: list[str], make, bad_labels: frozenset[str],
-               gram: np.ndarray | None = None,
-               factors: tuple[KrausChannel, ...] = ()) -> KrausChannel:
+    def _new(cls, dims, bad_labels, factors: tuple[KrausChannel, ...] = ()) -> KrausChannel:
+        """An unsealed channel on checked dims; _seal gives it its operators."""
+        ch = object.__new__(cls)
+        object.__setattr__(ch, "dims", _check_dims(dims))
+        object.__setattr__(ch, "bad_labels", bad_labels)
+        object.__setattr__(ch, "factors", factors)
+        return ch
+
+    @classmethod
+    def _build(cls, dims, labels: list[str], make, bad_labels: frozenset[str]) -> KrausChannel:
         """Channel whose operators start:stop come stacked from make(start, stop).
 
         make is called once per block, in order, so a caller that computes
-        operators in batches writes them straight into their blocks.  gram,
-        when given, is the operators' sum A^dag A, known to the caller; then
-        no block is built before it is read.
+        operators in batches writes them straight into their blocks.
         """
-        ch = object.__new__(cls)
-        object.__setattr__(ch, "dims", dims)
-        object.__setattr__(ch, "bad_labels", bad_labels)
-        object.__setattr__(ch, "factors", factors)
-        ch._seal(labels, make, gram)
+        ch = cls._new(dims, bad_labels)
+        ch._seal(_Operators(labels, ch.dim, make))
         return ch
 
-    def _seal(self, labels: list[str], make, gram: np.ndarray | None = None) -> None:
-        """The one validation behind both ways in; freezes the operators.
+    def _seal(self, ops: _Operators, gram: np.ndarray | None = None) -> None:
+        """The one validation behind every way in; freezes the operators.
 
         Trace preservation compares sum A^dag A with the identity: the gram a
-        caller passes (tensor_channels forms it from the factors), or else
-        _gram over the blocks, built here.
+        product passes (tensor_channels folds it from its factors' kept
+        sums), or else _gram over the blocks, built here and kept.
         """
-        object.__setattr__(self, "dims", _check_dims(self.dims))
-        d = self.dim
-        if not labels:
+        if not len(ops):
             raise ValueError("channel needs at least one operator")
-        admit("channel", ops=len(labels))
-        if len(set(labels)) != len(labels):
+        admit("channel", ops=len(ops))
+        if not ops.unique and len(set(ops.labels)) != len(ops):
             seen = set()
-            dup = next(l for l in labels if l in seen or seen.add(l))
+            dup = next(l for l in ops.labels if l in seen or seen.add(l))
             raise ValueError(f"duplicate label {dup!r}")
-        bad = _known_labels(self.bad_labels, labels)
-        ops = _Operators(labels, d, make)
+        bad = _known_labels(self.bad_labels, ops)
         if gram is None:
-            gram = _gram(ops.blocks, d)
-        if not np.abs(gram - np.eye(d)).max() <= ATOL_ALGEBRA:
+            gram = _gram(ops.blocks, self.dim)
+            object.__setattr__(self, "_completeness", gram)
+        if not np.abs(gram - np.eye(self.dim)).max() <= ATOL_ALGEBRA:
             raise ValueError("operator sum is not trace preserving")
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "bad_labels", bad)
@@ -214,10 +266,7 @@ class KrausChannel:
     def operator(self, label: str) -> np.ndarray:
         """The operator of one label; a product's is the Kronecker product of
         its factors' operators, formed as its block would form it."""
-        try:
-            j = self.ops.labels.index(label)
-        except ValueError:
-            raise KeyError(label) from None
+        j = self.ops.find(label)
         if not self.factors:
             return self.ops[j][1]
         a = _kron_rows(self.factors, j, j + 1)[0]
@@ -415,10 +464,9 @@ def tensor_channels(*channels: KrausChannel) -> KrausChannel:
     single-character labels, and are comma-joined otherwise.  The result
     keeps the flat factors (a product factor contributes its own) and builds
     no operator here: its caps, labels and trace preservation are checked
-    now, the last against the Kronecker product of the factors' sums
-    A^dag A, each computed once from that factor's own blocks.  Its blocks,
-    when read, hold the operators in label-tuple order (last factor
-    fastest), a block at a time (see _kron_rows).
+    now, the last against the Kronecker product of the factors' kept sums
+    A^dag A.  Its blocks, when read, hold the operators in label-tuple order
+    (last factor fastest), a block at a time (see _kron_rows).
     """
     if not channels:
         raise ValueError("tensor of no channels")
@@ -429,22 +477,33 @@ def tensor_channels(*channels: KrausChannel) -> KrausChannel:
     dims = sum((ch.dims for ch in channels), ())
     d = math.prod(dims)
     admit(f"{count} operators of dimension {d}", ops=count, dim=d, nbytes=count * d * d * 16)
-    names = [ch.labels() for ch in channels]
-    sep = "" if all(len(l) == 1 for ls in names for l in ls) else ","
-    labels = [sep.join(combo) for combo in itertools.product(*names)]
-    bad = np.zeros(shape, dtype=bool)
-    for axis, (ch, ls) in enumerate(zip(channels, names)):
-        flags = np.array([l in ch.bad_labels for l in ls])
-        bad |= flags.reshape((-1,) + (1,) * (len(shape) - axis - 1))
-
+    sep = "" if all(len(l) == 1 for ch in channels for l in ch.ops.labels) else ","
     # a product's operator index unravels row-major over its own factors, so
     # nested products flatten without reordering a single operator
     factors = tuple(f for ch in channels for f in (ch.factors or (ch,)))
-    factor_gram = functools.cache(lambda ch: _gram(ch.blocks, ch.dim))  # a repeated factor once
-    gram = functools.reduce(np.kron, map(factor_gram, factors))
-    return KrausChannel._build(dims, labels, functools.partial(_kron_rows, factors),
-                               frozenset(itertools.compress(labels, bad.reshape(-1))),
-                               gram, factors)
+    ops = _ProductOperators(channels, sep, d, functools.partial(_kron_rows, factors))
+    bad = frozenset()
+    if any(ch.bad_labels for ch in channels):
+        flagged = np.zeros(shape, dtype=bool)
+        for axis, ch in enumerate(channels):
+            flags = np.array([l in ch.bad_labels for l in ch.ops.labels])
+            flagged |= flags.reshape((-1,) + (1,) * (len(shape) - axis - 1))
+        bad = frozenset(itertools.compress(ops.labels, flagged.reshape(-1)))
+    product = KrausChannel._new(dims, bad, factors)
+    product._seal(ops, _kron_fold([f._completeness for f in factors]))
+    return product
+
+
+def _kron_fold(mats: list[np.ndarray]) -> np.ndarray:
+    """mats[0] (x) mats[1] (x) ..., folded from the left as np.kron folds them
+    in functools.reduce, with one broadcast multiply per step."""
+    acc = mats[0]
+    for m in mats[1:]:
+        a, b = len(acc), len(m)
+        out = np.empty((a * b, a * b), dtype=complex)
+        np.multiply(acc[:, None, :, None], m[None, :, None, :], out=out.reshape(a, b, a, b))
+        acc = out
+    return acc
 
 
 def _kron_rows(factors: tuple[KrausChannel, ...], start: int, stop: int) -> np.ndarray:

@@ -113,7 +113,9 @@ def average_error_monte_carlo(ch: KrausChannel, trials: int, seed: int = 0) -> M
 def bad_branch_probability(ch: KrausChannel, psi: StateVector,
                            bad_labels=None) -> float:
     """Exact probability of landing in a flagged branch from a pure input."""
-    bad = ch.bad_labels if bad_labels is None else _known_labels(bad_labels, ch.labels())
+    bad = ch.bad_labels if bad_labels is None else _known_labels(bad_labels, ch.ops)
+    if not bad:
+        return 0.0
     flagged = np.array([label in bad for label in ch.labels()])
     total = 0.0
     start = 0
@@ -131,7 +133,9 @@ def bad_branch_error_bound(ch: KrausChannel, bad_labels=None) -> float:
     every input, tight when a single flagged operator is proportional to a
     unitary.
     """
-    bad = ch.bad_labels if bad_labels is None else _known_labels(bad_labels, ch.labels())
+    bad = ch.bad_labels if bad_labels is None else _known_labels(bad_labels, ch.ops)
+    if not bad:
+        return 0.0
     total = 0.0
     for label, a in ch.ops:
         if label in bad:

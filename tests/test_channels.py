@@ -45,7 +45,7 @@ from qecdesk.channels import (
     twirl,
 )
 from qecdesk.codes import builtin_code
-from qecdesk.fidelity import entanglement_fidelity
+from qecdesk.fidelity import bad_branch_error_bound, bad_branch_probability, entanglement_fidelity
 from qecdesk.hilbert import DensityOperator, LinearOperator, StateVector, basis_state
 from qecdesk.pipelines import PLUS, run_corrected
 
@@ -268,6 +268,45 @@ def test_tensor_channels_match_kron_chain_oracle():
         assert_same_channel(got, kron_chain(*factors))
 
 
+def test_product_labels_match_kron_chain_oracle():
+    """A product counts, looks up, flags and lists its labels as kron_chain's
+    eager labels and flags do; with unflagged factors whose labels are one
+    character or hold no comma, the lookups build no label list."""
+    half = math.sqrt(0.5)
+    comma_free = KrausChannel((2,), (("ok", half * SIGMA["I"]), ("kick", half * SIGMA["X"])))
+    marked = KrausChannel((2,), depolarizing(0.2).ops, bad_labels=frozenset({"x", "y"}))
+    two_bits = tensor_independent(bit_flip(0.1), 2)
+    comma_inside = tensor_channels(gaussian_shift(3, 2), bit_flip(0.2))  # labels like "-1,x"
+    cases = [  # (factors, whether the lookups alone build the label list)
+        ([depolarizing(0.1)] * 3, False),  # "000"
+        ([bit_flip(0.3), gaussian_shift(3, 2)], False),  # "0,-2"
+        ([comma_free, depolarizing(0.1)], False),  # "ok,0"
+        ([two_bits, two_bits], False),  # nested: "00,00", "00,0x", ...
+        ([bit_flip(0.1), marked, depolarizing(0.3)], True),  # flagged: built to flag
+        ([comma_inside, bit_flip(0.4)], True),  # "-2,0,0": built for the duplicate check
+    ]
+    for factors, eager in cases:
+        want = kron_chain(*factors)
+        ch = tensor_channels(*factors)
+        assert len(ch.ops) == len(want.ops)
+        for label, a in want.ops:
+            assert np.abs(ch.operator(label) - a).max() <= 1e-15, label
+        first = want.labels()[0]
+        for wrong in ("?", first[:-1], first + first, "?" + first[1:], 0):
+            assert wrong not in want.labels()
+            with pytest.raises(KeyError):
+                ch.operator(wrong)
+        assert ("labels" in ch.ops.__dict__) == eager, first
+        assert ch.bad_labels == want.bad_labels
+        assert ch.labels() == want.labels()
+    # comma-joined labels that collide are refused, as the flat form refuses them
+    left = KrausChannel((2,), (("a,b", half * SIGMA["I"]), ("a", half * SIGMA["X"])))
+    right = KrausChannel((2,), (("c", half * SIGMA["I"]), ("b,c", half * SIGMA["X"])))
+    for build in (tensor_channels, kron_chain):
+        with pytest.raises(ValueError, match="^duplicate label 'a,b,c'$"):
+            build(left, right)
+
+
 def test_tensor_channels_block_layout():
     # 3,125 operators of 32 x 32: 48 full blocks of 64 and a last one of 53
     dep5 = tensor_independent(depolarizing(0.1), 5)
@@ -321,8 +360,9 @@ def test_products_check_trace_preservation_on_their_factors(monkeypatch):
         seen.append(d)
         return _gram(blocks, d)
 
-    dep = depolarizing(0.1)
+    # the factor computes its sum at its own construction; the product reads it
     monkeypatch.setattr(channels_module, "_gram", recorder)
+    dep = depolarizing(0.1)
     assert tensor_independent(dep, 5).dim == 32
     assert seen == [2]  # the one distinct factor, once
     # explicit operators and the synthesized recovery keep the flat sum
@@ -496,6 +536,34 @@ def test_factor_path_builds_no_flat_blocks():
     assert np.abs(a - (math.sqrt(0.1) / 2) ** 4 * math.sqrt(0.9) * word).max() <= 1e-15
     assert abs(fe - (1 - 0.075) ** 5) <= 1e-12
     assert abs(report.metrics["error"] - 0.0316175) <= 1e-12
+
+
+def test_depolarizing_product_builds_no_labels_or_blocks():
+    """depolarizing^5 answers counts, single operators, its factor path and
+    its (empty) flagged-branch sums without its 3,125 labels or its blocks."""
+    ch = tensor_independent(depolarizing(0.1), 5)
+    psi = rand_state(np.random.default_rng(53), ch.dim)
+    state = StateVector(ch.dims, psi)
+    steps = {
+        "construction": lambda: None,
+        "len(ops)": lambda: len(ch.ops),
+        "operator": lambda: ch.operator("0" * 5),
+        "apply_pure": lambda: ch.apply_pure(psi),
+        "apply_matrix": lambda: ch.apply_matrix(np.outer(psi, psi.conj())),
+        "entanglement_fidelity": lambda: entanglement_fidelity(ch),
+        "bad_branch_probability": lambda: bad_branch_probability(ch, state),
+        "bad_branch_error_bound": lambda: bad_branch_error_bound(ch),
+        "explicit empty bad_labels": lambda: (bad_branch_probability(ch, state, set()),
+                                              bad_branch_error_bound(ch, ())),
+    }
+    results = {}
+    for name, step in steps.items():
+        results[name] = step()
+        assert not {"labels", "blocks", "_pairs"} & ch.ops.__dict__.keys(), name
+    assert results["len(ops)"] == 5 ** 5
+    assert np.abs(results["operator"] - 0.9 ** 2.5 * np.eye(32)).max() <= 1e-15
+    assert results["bad_branch_probability"] == results["bad_branch_error_bound"] == 0.0
+    assert results["explicit empty bad_labels"] == (0.0, 0.0)
 
 
 def test_real_view_gram_matches_complex_oracle():
