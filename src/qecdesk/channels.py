@@ -93,7 +93,8 @@ class _Operators(Sequence):
     The blocks come from make(start, stop), called once per block and in
     order on the first read of `blocks` or of a pair, and are kept from then
     on.  `unique` says whether the labels are known to be distinct without a
-    check over them.
+    check over them; a product reads `span` (shortest and longest label
+    length) and `commas` (whether a label holds ",") of its operands.
     """
 
     unique = False
@@ -103,6 +104,15 @@ class _Operators(Sequence):
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    @property
+    def span(self) -> tuple[int, int]:
+        lengths = [len(l) for l in self.labels]
+        return min(lengths), max(lengths)
+
+    @property
+    def commas(self) -> bool:
+        return any("," in l for l in self.labels)
 
     def __getitem__(self, i):
         return self._pairs[i]
@@ -143,15 +153,26 @@ class _ProductOperators(_Operators):
     indices unraveled row-major over them, and the list is built on first
     read.  The joined labels are unique when sep is "" (one-character
     operand labels) or no operand label holds ","; then find() splits a
-    label into its operands' labels instead of searching.
+    label into its operands' labels instead of searching.  Its own span and
+    commas come from its operands' and sep.
     """
 
     def __init__(self, operands: tuple[KrausChannel, ...], sep: str, d: int, make):
         self._operands, self._sep, self._d, self._make = operands, sep, d, make
-        self.unique = sep == "" or not any("," in l for ch in operands for l in ch.ops.labels)
+        self.unique = sep == "" or not any(ch.ops.commas for ch in operands)
 
     def __len__(self) -> int:
         return math.prod(len(ch.ops) for ch in self._operands)
+
+    @property
+    def span(self) -> tuple[int, int]:
+        gap = len(self._sep) * (len(self._operands) - 1)
+        spans = [ch.ops.span for ch in self._operands]
+        return sum(lo for lo, _ in spans) + gap, sum(hi for _, hi in spans) + gap
+
+    @property
+    def commas(self) -> bool:
+        return self._sep == "," or any(ch.ops.commas for ch in self._operands)
 
     @functools.cached_property
     def labels(self) -> list[str]:
@@ -477,7 +498,7 @@ def tensor_channels(*channels: KrausChannel) -> KrausChannel:
     dims = sum((ch.dims for ch in channels), ())
     d = math.prod(dims)
     admit(f"{count} operators of dimension {d}", ops=count, dim=d, nbytes=count * d * d * 16)
-    sep = "" if all(len(l) == 1 for ch in channels for l in ch.ops.labels) else ","
+    sep = "" if all(ch.ops.span == (1, 1) for ch in channels) else ","
     # a product's operator index unravels row-major over its own factors, so
     # nested products flatten without reordering a single operator
     factors = tuple(f for ch in channels for f in (ch.factors or (ch,)))

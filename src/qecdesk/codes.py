@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2_symplectic import StabilizerGeneratorSet
+from .gf2_symplectic import PauliProduct, StabilizerGeneratorSet, _nullspace
 from .hilbert import (
     ATOL_ALGEBRA,
     DensityOperator,
@@ -305,37 +305,53 @@ FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
 
 def stabilizer_codespace(stab: StabilizerGeneratorSet) -> CodeSubspace:
-    """Joint +1 eigenspace of the generators, the product of the (1+A)/2.
+    """Joint +1 eigenspace of the generators, P the product of the (1+A)/2,
+    from its k = 2^(n-rank) pivot columns; no d x d array is formed.
 
-    The projector is built by p <- (p + A p)/2, each A p a signed row gather,
-    and its entries stay exact dyadic numbers.  The basis comes from pivoted
-    Gram-Schmidt on the projector columns, so it is deterministic.
-    Inconsistent generators (projector of trace zero) and rank mismatches
-    raise.
+    diag(P) needs only the Z-type group elements, the products of generators
+    whose X parts cancel (a GF(2) null space): P_jj is a power of two where
+    each of their signs is +1, else 0, and its sum is the trace.  Each pivot
+    is the first j of largest residual diagonal P_jj - sum_i |b_i[j]|^2; P e_j
+    comes from c <- (c + A c)/2, each A c a signed row gather, then loses the
+    earlier b_i in order and is normalized.  P's entries are exact dyadic
+    numbers, so this is the pivoted Gram-Schmidt basis of P's columns bit for
+    bit.  Inconsistent generators (trace zero) and rank mismatches raise.
     """
     n = stab.n
     _check_dims((2,) * n, f"{n}-qubit codespace")
     d = 2 ** n
-    p = np.eye(d, dtype=complex)
-    for g in stab.generators:
-        p += g.apply(p)
-        p /= 2.0
+    gens = stab.generators
+    # row b: which generators have X on bit b; a null vector names a Z-type product
+    rows = [sum((g.x_bits >> b & 1) << i for i, g in enumerate(gens)) for b in range(n)]
+    null = _nullspace(rows, len(gens))
+    keep = np.ones(d, dtype=bool)
+    for v in null:
+        z = functools.reduce(PauliProduct.multiply, [g for i, g in enumerate(gens) if v >> i & 1])
+        keep &= z.index_map()[1].real > 0
+    diag = keep * 2.0 ** (len(null) - len(gens))
     expected = 2 ** (n - stab.rank())
-    tr = float(np.trace(p).real)
+    tr = float(diag.sum())
     if tr < 0.5:
         raise ValueError("generators are inconsistent: projector has trace 0")
     if abs(tr - expected) > 1e-6:
         raise ValueError(f"projector trace {tr} != expected dimension {expected}")
-    res = p.copy()
+    maps = [g.index_map() for g in gens]
     basis = []
     for _ in range(expected):
-        norms = np.linalg.norm(res, axis=0)
-        j = int(np.argmax(norms))
-        if norms[j] <= 1e-9:
+        j = int(np.argmax(diag))
+        c = np.zeros(d, dtype=complex)
+        c[j] = 1.0
+        for src, coef in maps:
+            c += c[src] * coef
+            c /= 2.0
+        for b in basis:
+            c -= b * (b.conj() @ c)
+        norm = np.linalg.norm(c)
+        if norm <= 1e-9:
             raise ValueError("projector rank fell short of expected dimension")
-        basis.append(res[:, j] / norms[j])
-        res -= np.outer(basis[-1], basis[-1].conj() @ res)
-    if np.linalg.norm(res) > 1e-7:
+        basis.append(c / norm)
+        diag -= np.abs(basis[-1]) ** 2
+    if diag.sum() > 1e-7:
         raise ValueError("projector rank exceeds expected dimension")
     return CodeSubspace(LinearOperator((expected,), (2,) * n, np.column_stack(basis)))
 

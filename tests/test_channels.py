@@ -307,6 +307,27 @@ def test_product_labels_match_kron_chain_oracle():
             build(left, right)
 
 
+def test_nested_products_join_no_operand_labels():
+    """A product picks its separator and decides uniqueness from its operands'
+    label spans and commas, so a product operand joins no label either."""
+    inner = tensor_independent(depolarizing(0.1), 4)
+    outer = tensor_channels(inner, bit_flip(0.2))
+    want = np.kron(inner.operator("01xz"), bit_flip(0.2).operator("x"))
+    assert np.abs(outer.operator("01xz,x") - want).max() <= 1e-15
+    assert "labels" not in inner.ops.__dict__ and "labels" not in outer.ops.__dict__
+    assert outer.labels() == kron_chain(inner, bit_flip(0.2)).labels()
+    # comma-joined labels that collide through a nested operand are refused,
+    # as the flat form refuses them
+    half = math.sqrt(0.5)
+    left = tensor_channels(  # "a,b", "a,c", "a,b,b", "a,b,c"
+        KrausChannel((2,), (("a", half * SIGMA["I"]), ("a,b", half * SIGMA["X"]))),
+        KrausChannel((2,), (("b", half * SIGMA["I"]), ("c", half * SIGMA["X"]))))
+    right = KrausChannel((2,), (("c", half * SIGMA["I"]), ("b,c", half * SIGMA["X"])))
+    for build in (tensor_channels, kron_chain):
+        with pytest.raises(ValueError, match="^duplicate label 'a,b,b,c'$"):
+            build(left, right)
+
+
 def test_tensor_channels_block_layout():
     # 3,125 operators of 32 x 32: 48 full blocks of 64 and a last one of 53
     dep5 = tensor_independent(depolarizing(0.1), 5)

@@ -508,6 +508,25 @@ def test_oversized_words_and_error_sets_are_refused_before_allocation(tmp_path):
         assert all(m in done.stderr for m in messages), done.stderr
 
 
+def test_weight1_check_on_a_ten_qubit_code_stays_small(tmp_path):
+    """Peak RSS of `check --errors weight1` on a 10-qubit file, read from a
+    fresh process's RUSAGE_CHILDREN so no other child's peak counts.  The
+    1024 x 1024 projector alone would be 16 MiB; its build peaked at 80 MiB."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+    path = tmp_path / "repetition10.txt"
+    path.write_text(REPETITION10)
+    probe = ("import resource, subprocess, sys\n"
+             "done = subprocess.run([sys.executable, '-m', 'qecdesk.cli', 'check', '--code',"
+             " sys.argv[1], '--errors', 'weight1'], capture_output=True)\n"
+             "print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    done = subprocess.run([sys.executable, "-c", probe, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, peak_kib = map(int, done.stdout.split())
+    assert code == 1, done.stderr  # single Z errors are logical
+    assert peak_kib < 48 * 1024, peak_kib
+
+
 def test_weight2_on_a_ten_qubit_code_is_admitted(tmp_path):
     from qecdesk.analysis import correctable_quantum
     from qecdesk.cli import _load_code, _parse_errors

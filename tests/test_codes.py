@@ -1,6 +1,7 @@
 """Code constructions: classical tables, subsystem splits, stabilizer spaces."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -244,10 +245,46 @@ def test_stabilizer_codespace_matches_the_projector_product(gens):
         assert np.array_equal(got, projector_codespace(stab).basis_matrix())
 
 
+REPETITION10 = tuple("I" * j + "ZZ" + "I" * (8 - j) for j in range(9))
+
+
+@pytest.mark.parametrize("gens", [
+    ("XX", "YY"),  # the Z-type element XX YY = -ZZ carries -1
+    ("ZZ", "XX"),  # k = 1
+    ("ZZI", "ZZI"),  # dependent generators
+    ("III",),  # the identity as a generator: k = d
+    ("XXXX", "ZZZZ"),  # k = 4
+    REPETITION10,
+], ids=["xx-yy", "zz-xx", "dependent", "identity", "k4", "repetition10"])
+def test_stabilizer_codespace_columns_match_the_projector_oracle(gens):
+    # the columns built from diag(P) are the dense projector's pivoted
+    # Gram-Schmidt basis, bit for bit, as given and with the qubits permuted
+    n = len(gens[0])
+    perm = np.random.default_rng(n + 100).permutation(n)
+    for words in (gens, ["".join(w[j] for j in perm) for w in gens]):
+        stab = StabilizerGeneratorSet.from_strings(list(words))
+        got = stabilizer_codespace(stab).basis_matrix()
+        assert got.shape == (2 ** n, 2 ** (n - stab.rank()))
+        assert np.array_equal(got, projector_codespace(stab).basis_matrix())
+
+
 def test_stabilizer_codespace_rejects_inconsistent_generators():
     stab = StabilizerGeneratorSet.from_strings(["XX", "YY", "ZZ"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^generators are inconsistent: projector has trace 0$"):
         stabilizer_codespace(stab)
+
+
+def test_stabilizer_codespace_allocates_its_columns_only():
+    # a 10-qubit repetition code: the 1024 x 1024 projector alone is 16 MiB
+    stab = StabilizerGeneratorSet.from_strings(list(REPETITION10))
+    tracemalloc.start()
+    try:
+        space = stabilizer_codespace(stab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 2
+    assert peak < 2 ** 20, peak
 
 
 def test_code_subspace_guards():
