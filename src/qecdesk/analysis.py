@@ -146,7 +146,7 @@ def _kl_kernel(code: CodeSubspace, errors, against_code: bool = False):
     when G_ij = lambda_ij I_k.  With against_code the bra side is C alone
     (G_j = C^dag E_j C, detectability).  A Pauli word's block E C is a
     signed row gather of C, never a dense E.  Returns (labels, B, lambda,
-    residual) with lambda_ij = tr(G_ij)/k and residual = max |G_ij - lambda_ij I_k|.
+    residual) as kl_residual gives the last two.
     """
     errors = list(errors)
     if not errors:
@@ -162,9 +162,15 @@ def _kl_kernel(code: CodeSubspace, errors, against_code: bool = False):
         blocks[:, i * k:(i + 1) * k] = _times_code(e, c, labels[-1])
     bra = c if against_code else blocks
     g = (bra.conj().T @ blocks).reshape(bra.shape[1] // k, k, len(errors), k)
+    return (tuple(labels), blocks, *kl_residual(g))
+
+
+def kl_residual(g: np.ndarray) -> tuple[np.ndarray, float]:
+    """(lambda, residual) of blocks G_ij read as g[i, :, j, :], each k x k:
+    lambda_ij = tr(G_ij)/k and residual = max |G_ij - lambda_ij I_k|."""
+    k = g.shape[1]
     lam = np.trace(g, axis1=1, axis2=3) / k
-    residual = float(np.abs(g - lam[:, None, :, None] * np.eye(k)[:, None, :]).max())
-    return tuple(labels), blocks, lam, residual
+    return lam, float(np.abs(g - lam[:, None, :, None] * np.eye(k)[:, None, :]).max())
 
 
 def detectable_quantum(code: CodeSubspace, error) -> DetectVerdict:

@@ -17,12 +17,12 @@ when they are first read: through `blocks`, `branch_blocks`, or iterating or
 indexing `ops`.  Until then it answers from its factors: len(ops), labels(),
 operator(label) as a Kronecker product, and apply_pure / apply_matrix with
 one d_i^2 x d_i^2 superoperator sum_k A_k (x) conj(A_k) per factor, applied
-on that factor's (row, column) axis pair.  Its label list, too, is built on
-first read (see _ProductOperators).  Its caps are admitted and its labels
-checked at construction, as for the flat form it stands for.  Trace
-preservation is checked once per channel against sum A^dag A: a flat
-channel computes it with one real SYRK per block and keeps it, and a
-product folds its factors' kept sums, since
+on that factor's (row, column) axis pair.  Its label list, joined from the
+factors' labels, is built on first read too (see _ProductOperators).  Its
+caps are admitted and its labels checked at construction, as for the flat
+form it stands for.  Trace preservation is checked once per channel against
+sum A^dag A: a flat channel computes it with one real SYRK per block and
+keeps it, and a product folds its factors' kept sums, since
 sum (A (x) B)^dag (A (x) B) = (sum A^dag A) (x) (sum B^dag B).
 """
 
@@ -93,8 +93,7 @@ class _Operators(Sequence):
     The blocks come from make(start, stop), called once per block and in
     order on the first read of `blocks` or of a pair, and are kept from then
     on.  `unique` says whether the labels are known to be distinct without a
-    check over them; a product reads `span` (shortest and longest label
-    length) and `commas` (whether a label holds ",") of its operands.
+    check over them.
     """
 
     unique = False
@@ -104,15 +103,6 @@ class _Operators(Sequence):
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    @property
-    def span(self) -> tuple[int, int]:
-        lengths = [len(l) for l in self.labels]
-        return min(lengths), max(lengths)
-
-    @property
-    def commas(self) -> bool:
-        return any("," in l for l in self.labels)
 
     def __getitem__(self, i):
         return self._pairs[i]
@@ -149,35 +139,26 @@ class _Operators(Sequence):
 
 
 class _ProductOperators(_Operators):
-    """A product's pairs: label j joins with sep its operands' labels at j's
-    indices unraveled row-major over them, and the list is built on first
-    read.  The joined labels are unique when sep is "" (one-character
-    operand labels) or no operand label holds ","; then find() splits a
-    label into its operands' labels instead of searching.  Its own span and
-    commas come from its operands' and sep.
+    """A product's pairs: label j joins with sep its flat factors' labels at
+    j's indices unraveled row-major over them, and the list is built on
+    first read.  sep is "" when every factor label is one character and ","
+    otherwise; the joined labels are unique when sep is "" or no factor
+    label holds ",", and then find() splits a label into its factors'
+    labels instead of searching.
     """
 
-    def __init__(self, operands: tuple[KrausChannel, ...], sep: str, d: int, make):
-        self._operands, self._sep, self._d, self._make = operands, sep, d, make
-        self.unique = sep == "" or not any(ch.ops.commas for ch in operands)
+    def __init__(self, factors: tuple[KrausChannel, ...], d: int, make):
+        self._names = [f.ops.labels for f in factors]
+        self._d, self._make = d, make
+        self._sep = "" if all(len(l) == 1 for ls in self._names for l in ls) else ","
+        self.unique = self._sep == "" or not any("," in l for ls in self._names for l in ls)
 
     def __len__(self) -> int:
-        return math.prod(len(ch.ops) for ch in self._operands)
-
-    @property
-    def span(self) -> tuple[int, int]:
-        gap = len(self._sep) * (len(self._operands) - 1)
-        spans = [ch.ops.span for ch in self._operands]
-        return sum(lo for lo, _ in spans) + gap, sum(hi for _, hi in spans) + gap
-
-    @property
-    def commas(self) -> bool:
-        return self._sep == "," or any(ch.ops.commas for ch in self._operands)
+        return math.prod(len(ls) for ls in self._names)
 
     @functools.cached_property
     def labels(self) -> list[str]:
-        names = [ch.ops.labels for ch in self._operands]
-        return [self._sep.join(combo) for combo in itertools.product(*names)]
+        return [self._sep.join(combo) for combo in itertools.product(*self._names)]
 
     def find(self, label: str) -> int:
         if not self.unique:
@@ -185,13 +166,13 @@ class _ProductOperators(_Operators):
         if not isinstance(label, str):
             raise KeyError(label)
         parts = label.split(",") if self._sep else list(label)
-        if len(parts) != len(self._operands):
+        if len(parts) != len(self._names):
             raise KeyError(label)
         j = 0
         try:
-            for ch, part in zip(self._operands, parts):
-                j = j * len(ch.ops) + ch.ops.find(part)
-        except KeyError:
+            for ls, part in zip(self._names, parts):
+                j = j * len(ls) + ls.index(part)
+        except ValueError:
             raise KeyError(label) from None
         return j
 
@@ -481,50 +462,38 @@ def channel_from_unitary(
 def tensor_channels(*channels: KrausChannel) -> KrausChannel:
     """Independent noise on disjoint factors; one operator per label tuple.
 
-    Component labels concatenate directly when every factor uses
-    single-character labels, and are comma-joined otherwise.  The result
-    keeps the flat factors (a product factor contributes its own) and builds
-    no operator here: its caps, labels and trace preservation are checked
-    now, the last against the Kronecker product of the factors' kept sums
-    A^dag A.  Its blocks, when read, hold the operators in label-tuple order
-    (last factor fastest), a block at a time (see _kron_rows).
+    A product operand contributes its own flat factors, so every bracketing
+    of the same factors is the same channel, labels included.  Factor labels
+    concatenate directly when every factor uses single-character labels, and
+    are comma-joined otherwise.  The result builds no operator here: its
+    caps, labels and trace preservation are checked now, the last against
+    the Kronecker product of the factors' kept sums A^dag A.  Its blocks,
+    when read, hold the operators in label-tuple order (last factor
+    fastest), a block at a time (see _kron_rows).
     """
     if not channels:
         raise ValueError("tensor of no channels")
     if len(channels) == 1:
         return channels[0]
-    shape = tuple(len(ch.ops) for ch in channels)
-    count = math.prod(shape)
-    dims = sum((ch.dims for ch in channels), ())
-    d = math.prod(dims)
-    admit(f"{count} operators of dimension {d}", ops=count, dim=d, nbytes=count * d * d * 16)
-    sep = "" if all(ch.ops.span == (1, 1) for ch in channels) else ","
     # a product's operator index unravels row-major over its own factors, so
     # nested products flatten without reordering a single operator
     factors = tuple(f for ch in channels for f in (ch.factors or (ch,)))
-    ops = _ProductOperators(channels, sep, d, functools.partial(_kron_rows, factors))
+    shape = tuple(len(f.ops) for f in factors)
+    count = math.prod(shape)
+    dims = sum((f.dims for f in factors), ())
+    d = math.prod(dims)
+    admit(f"{count} operators of dimension {d}", ops=count, dim=d, nbytes=count * d * d * 16)
+    ops = _ProductOperators(factors, d, functools.partial(_kron_rows, factors))
     bad = frozenset()
-    if any(ch.bad_labels for ch in channels):
+    if any(f.bad_labels for f in factors):
         flagged = np.zeros(shape, dtype=bool)
-        for axis, ch in enumerate(channels):
-            flags = np.array([l in ch.bad_labels for l in ch.ops.labels])
+        for axis, f in enumerate(factors):
+            flags = np.array([l in f.bad_labels for l in f.ops.labels])
             flagged |= flags.reshape((-1,) + (1,) * (len(shape) - axis - 1))
         bad = frozenset(itertools.compress(ops.labels, flagged.reshape(-1)))
     product = KrausChannel._new(dims, bad, factors)
-    product._seal(ops, _kron_fold([f._completeness for f in factors]))
+    product._seal(ops, _kron_stack([f._completeness[None] for f in factors])[0])
     return product
-
-
-def _kron_fold(mats: list[np.ndarray]) -> np.ndarray:
-    """mats[0] (x) mats[1] (x) ..., folded from the left as np.kron folds them
-    in functools.reduce, with one broadcast multiply per step."""
-    acc = mats[0]
-    for m in mats[1:]:
-        a, b = len(acc), len(m)
-        out = np.empty((a * b, a * b), dtype=complex)
-        np.multiply(acc[:, None, :, None], m[None, :, None, :], out=out.reshape(a, b, a, b))
-        acc = out
-    return acc
 
 
 def _kron_rows(factors: tuple[KrausChannel, ...], start: int, stop: int) -> np.ndarray:

@@ -97,6 +97,8 @@ def _parse_errors(spec: str, definition: codes.CodeDefinition):
     out = []
     for token in spec.split(","):
         token = token.strip()
+        if not token:
+            raise ValueError(f"--errors {spec!r} has an empty entry")
         if token == "I":
             out.append(("I", identity_word(n)))
         elif len(token) >= 2 and token[0] in "XYZ" and token[1:].isdecimal():
@@ -105,7 +107,10 @@ def _parse_errors(spec: str, definition: codes.CodeDefinition):
                 raise ValueError(f"--errors {token}: qubits are numbered 1..{n}")
             out.append((token, single_qubit_word(n, q - 1, token[0])))
         else:
-            out.append((token, PauliProduct.from_string(token)))
+            try:
+                out.append((token, PauliProduct.from_string(token)))
+            except ValueError as exc:
+                raise ValueError(f"--errors {token}: {exc}") from None
     return out
 
 
@@ -122,7 +127,7 @@ def _arg_type(convert, ok, what: str):
     return parse
 
 
-_finite_float = _arg_type(float, math.isfinite, "a finite number")
+_threshold = _arg_type(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 _count = _arg_type(int, lambda v: v >= 0, "a whole number >= 0")
 # exact: 1e-3 and 1/1000 both give Fraction(1, 1000); nan and inf do not parse
 _fraction = _arg_type(Fraction, lambda v: True, "a finite decimal or fraction")
@@ -262,15 +267,9 @@ def cmd_noiseless(args) -> int:
         u = channels.collective_rotation(v).operator("rot")
         sub = wb.conj().T @ u @ wb
         leak = float(np.abs(u @ wb - wb @ sub).max())
-        t = sub.reshape(2, 2, 2, 2)
-        dev = 0.0
-        for s in range(2):
-            for sp in range(2):
-                block = t[s, :, sp, :]
-                m = np.trace(block) / 2.0
-                dev = max(dev, float(np.abs(block - m * np.eye(2)).max()))
+        # each (syndrome, syndrome') block must be lambda I on the logical qubit
+        max_block_dev = max(max_block_dev, analysis.kl_residual(sub.reshape(2, 2, 2, 2))[1])
         max_leak = max(max_leak, leak)
-        max_block_dev = max(max_block_dev, dev)
     jz = 2.0 * channels.collective_spin("Z").matrix
     jx = 2.0 * channels.collective_spin("X").matrix
     sz = np.kron(np.array([[1, 0], [0, -1]]), np.eye(2))
@@ -397,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="0")
     p.add_argument("--trials", type=_count, default=0, help="0 = exact")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--fail-threshold", type=_finite_float, default=0.5)
+    p.add_argument("--fail-threshold", type=_threshold, default=0.5)
     common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -422,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="canned worked examples")
     p.add_argument("name", choices=DEMO_NAMES)
-    p.add_argument("--fail-threshold", type=_finite_float, default=0.5)
+    p.add_argument("--fail-threshold", type=_threshold, default=0.5)
     common(p)
     p.set_defaults(func=cmd_demo)
 

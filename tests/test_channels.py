@@ -47,7 +47,7 @@ from qecdesk.channels import (
 from qecdesk.codes import builtin_code
 from qecdesk.fidelity import bad_branch_error_bound, bad_branch_probability, entanglement_fidelity
 from qecdesk.hilbert import DensityOperator, LinearOperator, StateVector, basis_state
-from qecdesk.pipelines import PLUS, run_corrected
+from qecdesk.pipelines import PLUS, run_corrected, run_monte_carlo
 
 SIGMA = {
     "I": np.eye(2, dtype=complex),
@@ -223,7 +223,9 @@ def test_tensor_bad_labels_propagate():
 
 
 def kron_chain(*channels):
-    """The product channel the slow way: one np.kron chain per label tuple."""
+    """The product channel the slow way: one np.kron chain per label tuple
+    of the flat factors, a product argument giving its own."""
+    channels = [f for ch in channels for f in (ch.factors or (ch,))]
     sep = "" if all(len(l) == 1 for ch in channels for l in ch.labels()) else ","
     ops, bad = [], set()
     for combo in itertools.product(*(ch.ops for ch in channels)):
@@ -281,9 +283,9 @@ def test_product_labels_match_kron_chain_oracle():
         ([depolarizing(0.1)] * 3, False),  # "000"
         ([bit_flip(0.3), gaussian_shift(3, 2)], False),  # "0,-2"
         ([comma_free, depolarizing(0.1)], False),  # "ok,0"
-        ([two_bits, two_bits], False),  # nested: "00,00", "00,0x", ...
+        ([two_bits, two_bits], False),  # nested: "0000", "000x", ...
         ([bit_flip(0.1), marked, depolarizing(0.3)], True),  # flagged: built to flag
-        ([comma_inside, bit_flip(0.4)], True),  # "-2,0,0": built for the duplicate check
+        ([comma_inside, bit_flip(0.4)], False),  # "-2,0,0": no factor label holds ","
     ]
     for factors, eager in cases:
         want = kron_chain(*factors)
@@ -308,12 +310,12 @@ def test_product_labels_match_kron_chain_oracle():
 
 
 def test_nested_products_join_no_operand_labels():
-    """A product picks its separator and decides uniqueness from its operands'
-    label spans and commas, so a product operand joins no label either."""
+    """A product picks its separator and decides uniqueness from its flat
+    factors' labels, so a product operand joins no label either."""
     inner = tensor_independent(depolarizing(0.1), 4)
     outer = tensor_channels(inner, bit_flip(0.2))
     want = np.kron(inner.operator("01xz"), bit_flip(0.2).operator("x"))
-    assert np.abs(outer.operator("01xz,x") - want).max() <= 1e-15
+    assert np.abs(outer.operator("01xzx") - want).max() <= 1e-15
     assert "labels" not in inner.ops.__dict__ and "labels" not in outer.ops.__dict__
     assert outer.labels() == kron_chain(inner, bit_flip(0.2)).labels()
     # comma-joined labels that collide through a nested operand are refused,
@@ -326,6 +328,44 @@ def test_nested_products_join_no_operand_labels():
     for build in (tensor_channels, kron_chain):
         with pytest.raises(ValueError, match="^duplicate label 'a,b,b,c'$"):
             build(left, right)
+
+
+def test_every_bracketing_is_the_flat_product():
+    """(ab)c, a(bc) and (ab)(cd) are the flat product of the same factors in
+    every respect, bit for bit: labels, flags, lookups, blocks, both factor
+    paths, and the pipelines that read them."""
+    rng = np.random.default_rng(19)
+    marked = KrausChannel((2,), depolarizing(0.2).ops, bad_labels=frozenset({"x", "y"}))
+    t = tensor_channels
+    for a, b, c, d in ((marked, bit_flip(0.1), depolarizing(0.3), bit_flip(0.2)),
+                       (bit_flip(0.1), gaussian_shift(3, 2), marked, depolarizing(0.3))):
+        for got, want in ((t(t(a, b), c), t(a, b, c)), (t(a, t(b, c)), t(a, b, c)),
+                          (t(t(a, b), t(c, d)), t(a, b, c, d))):
+            assert got.labels() == want.labels()
+            assert got.bad_labels == want.bad_labels
+            assert len(got.ops) == len(want.ops)
+            assert entanglement_fidelity(got) == entanglement_fidelity(want)
+            psi = rand_state(rng, want.dim)
+            m = rng.uniform(-1, 1, size=(want.dim, want.dim, 2)) @ [1, 1j]
+            assert np.array_equal(got.apply_pure(psi), want.apply_pure(psi))
+            assert np.array_equal(got.apply_matrix(m), want.apply_matrix(m))
+            assert all(np.array_equal(got.operator(l), want.operator(l)) for l in want.labels())
+            assert len(got.blocks) == len(want.blocks)
+            assert all(np.array_equal(x, y) for x, y in zip(got.blocks, want.blocks))
+    nested = parse_channel_spec("independent n=2 independent n=2 bitflip p=0.1")
+    flat = parse_channel_spec("independent n=4 bitflip p=0.1")
+    assert nested.labels() == flat.labels()
+    assert all(np.array_equal(x, y) for x, y in zip(nested.blocks, flat.blocks))
+    five = builtin_code("fivequbit").subspace
+    decoder = decoder_identification(five, correctable_quantum(five, weight_le_words(5, 1)))
+    dep = depolarizing(0.1)
+    split = tensor_channels(tensor_independent(dep, 2), tensor_independent(dep, 3))
+    whole = tensor_independent(dep, 5)
+    exact = [run_corrected(five, decoder, ch, PLUS).to_json() for ch in (split, whole)]
+    assert exact[0] == exact[1]
+    sampled = [run_monte_carlo(decoder, ch, PLUS, trials=500, seed=7, code=five).to_json()
+               for ch in (split, whole)]
+    assert sampled[0] == sampled[1]
 
 
 def test_tensor_channels_block_layout():
@@ -345,8 +385,8 @@ def test_tensor_channels_block_layout():
     dep4 = tensor_independent(depolarizing(0.1), 4)
     assert len(dep4.blocks) == 3
     nested = tensor_channels(dep4, bit_flip(0.2))
-    assert nested.labels()[:3] == ["0000,0", "0000,x", "0001,0"]
-    assert_same_channel(nested, kron_chain(kron_chain(*[depolarizing(0.1)] * 4), bit_flip(0.2)))
+    assert nested.labels()[:3] == ["00000", "0000x", "00010"]
+    assert_same_channel(nested, kron_chain(*[depolarizing(0.1)] * 4, bit_flip(0.2)))
 
 
 def test_product_gram_is_the_kronecker_product_of_factor_grams():

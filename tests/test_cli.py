@@ -306,10 +306,12 @@ def test_usage_errors_exit_64(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert flag in captured.err
-    # Pauli error specs on a code that is not made of qubits, and a
-    # negative weight
+    # Pauli error specs on a code that is not made of qubits, a negative
+    # weight, empty entries and a word that does not parse
     for code, spec in (("cyclic7", "weight1"), ("cyclic7", "I"),
-                       ("repetition3", "weight-1"), ("repetition3", "weightx")):
+                       ("repetition3", "weight-1"), ("repetition3", "weightx"),
+                       ("fivequbit", "X1,"), ("fivequbit", "X1,,Z2"), ("fivequbit", " "),
+                       ("fivequbit", "Q1")):
         assert main(["check", "--code", code, "--errors", spec]) == USAGE_EXIT
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -411,7 +413,7 @@ def test_non_finite_numbers_are_refused(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--input" in captured.err
-    for bad in ("nan", "inf", "-Infinity"):
+    for bad in ("nan", "inf", "-Infinity", "-0.5"):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--code", "repetition3",
                   "--channel", "independent n=3 bitflip p=0.25",
