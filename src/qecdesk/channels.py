@@ -14,13 +14,11 @@ goes through as branch vectors A_k psi, one GEMV per block.
 A product of independent noise keeps its flat factor channels as `factors`
 and builds its blocks (batched Kronecker products of factor operators) only
 when they are first read: through `blocks`, `branch_blocks`, or iterating or
-indexing `ops`.  Until then it answers from its factors: len(ops), labels(),
-operator(label) as a Kronecker product, and apply_pure / apply_matrix with
-one d_i^2 x d_i^2 superoperator sum_k A_k (x) conj(A_k) per factor, applied
-on that factor's (row, column) axis pair.  Its label list, joined from the
-factors' labels, is built on first read too (see _ProductOperators).  Its
-caps are admitted and its labels checked at construction, as for the flat
-form it stands for.  Trace preservation is checked once per channel against
+indexing `ops`.  Until then apply_pure and apply_matrix use one d_i^2 x d_i^2
+superoperator sum_k A_k (x) conj(A_k) per factor, on that factor's (row,
+column) axis pair, and its caps and labels are checked as for its flat form.
+Every channel counts, names and finds its operators from one label list per
+flat factor (see _Operators).  Trace preservation is checked once against
 sum A^dag A: a flat channel computes it with one real SYRK per block and
 keeps it, and a product folds its factors' kept sums, since
 sum (A (x) B)^dag (A (x) B) = (sum A^dag A) (x) (sum B^dag B).
@@ -80,7 +78,7 @@ def _gram(blocks, d: int) -> np.ndarray:
 
 def _known_labels(bad_labels, ops: _Operators) -> frozenset[str]:
     """bad_labels as a frozenset, refused if one is not a label of ops."""
-    bad = frozenset(bad_labels)
+    bad = frozenset(map(str, bad_labels))
     unknown = sorted(bad.difference(ops.labels)) if bad else ()
     if unknown:
         raise ValueError(f"bad_labels names {unknown[0]!r}, which is not a label of the channel")
@@ -88,21 +86,29 @@ def _known_labels(bad_labels, ops: _Operators) -> frozenset[str]:
 
 
 class _Operators(Sequence):
-    """A channel's (label, operator) pairs.
+    """A channel's (label, operator) pairs, named from one label list per flat
+    factor; a flat channel is the one-factor case.
 
-    The blocks come from make(start, stop), called once per block and in
-    order on the first read of `blocks` or of a pair, and are kept from then
-    on.  `unique` says whether the labels are known to be distinct without a
-    check over them.
+    Label j joins with sep the factors' labels at j's indices unraveled
+    row-major (the joined list is built on first read); sep is "" when every
+    factor label is one character, else ",".  Unless sep is "," and some
+    factor label holds ",", find() splits a label instead of searching, and a
+    product's labels are distinct without a check (`unique`).  The blocks
+    come from make(start, stop), once per block and in order, on the first
+    read of `blocks` or of a pair, and are kept.
     """
 
-    unique = False
-
-    def __init__(self, labels: list[str], d: int, make):
-        self.labels, self._d, self._make = labels, d, make
+    def __init__(self, names: list[list[str]], d: int, make):
+        self._names, self._d, self._make = names, d, make
+        self._len = math.prod(map(len, names))
+        self._sep = "" if set(map(len, itertools.chain(*names))) == {1} else ","
+        self._split = not self._sep or "," not in "".join(itertools.chain(*names))
+        self.unique = self._split and len(names) > 1
+        if len(names) == 1:  # a flat channel's list is its own
+            self.labels = names[0]
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return self._len
 
     def __getitem__(self, i):
         return self._pairs[i]
@@ -110,10 +116,24 @@ class _Operators(Sequence):
     def __iter__(self):
         return iter(self._pairs)
 
+    @functools.cached_property
+    def labels(self) -> list[str]:
+        return [self._sep.join(combo) for combo in itertools.product(*self._names)]
+
     def find(self, label: str) -> int:
         """The position of label; KeyError if it is not one."""
         try:
-            return self.labels.index(label)
+            if not self._split:
+                return self.labels.index(label)
+            if not isinstance(label, str):
+                raise ValueError
+            parts = label.split(",") if self._sep else list(label)
+            if len(parts) != len(self._names):
+                raise ValueError
+            j = 0
+            for ls, part in zip(self._names, parts):
+                j = j * len(ls) + ls.index(part)
+            return j
         except ValueError:
             raise KeyError(label) from None
 
@@ -138,45 +158,6 @@ class _Operators(Sequence):
         return tuple(zip(self.labels, itertools.chain(*self.blocks)))
 
 
-class _ProductOperators(_Operators):
-    """A product's pairs: label j joins with sep its flat factors' labels at
-    j's indices unraveled row-major over them, and the list is built on
-    first read.  sep is "" when every factor label is one character and ","
-    otherwise; the joined labels are unique when sep is "" or no factor
-    label holds ",", and then find() splits a label into its factors'
-    labels instead of searching.
-    """
-
-    def __init__(self, factors: tuple[KrausChannel, ...], d: int, make):
-        self._names = [f.ops.labels for f in factors]
-        self._d, self._make = d, make
-        self._sep = "" if all(len(l) == 1 for ls in self._names for l in ls) else ","
-        self.unique = self._sep == "" or not any("," in l for ls in self._names for l in ls)
-
-    def __len__(self) -> int:
-        return math.prod(len(ls) for ls in self._names)
-
-    @functools.cached_property
-    def labels(self) -> list[str]:
-        return [self._sep.join(combo) for combo in itertools.product(*self._names)]
-
-    def find(self, label: str) -> int:
-        if not self.unique:
-            return super().find(label)
-        if not isinstance(label, str):
-            raise KeyError(label)
-        parts = label.split(",") if self._sep else list(label)
-        if len(parts) != len(self._names):
-            raise KeyError(label)
-        j = 0
-        try:
-            for ls, part in zip(self._names, parts):
-                j = j * len(ls) + ls.index(part)
-        except ValueError:
-            raise KeyError(label) from None
-        return j
-
-
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Trace-preserving operator sum on a fixed tensor-product space.
@@ -184,8 +165,8 @@ class KrausChannel:
     `blocks` holds the operators in order, _block_len(d) to a block (the last
     may be shorter); `ops` pairs each label with its view into them.
     `factors` holds a product's flat factor channels (empty for a flat
-    channel), from which its blocks are built on first read.  A flat
-    channel keeps its sum A^dag A as `_completeness` (None for a product).
+    channel, its own one factor), from which its blocks are built on first
+    read.  A flat channel keeps its sum A^dag A as `_completeness`.
     """
 
     dims: tuple[int, ...]
@@ -196,7 +177,6 @@ class KrausChannel:
 
     def __post_init__(self):
         pairs = tuple(self.ops)
-        labels = [str(label) for label, _ in pairs]
         object.__setattr__(self, "dims", _check_dims(self.dims))
         d = self.dim
 
@@ -209,7 +189,7 @@ class KrausChannel:
                 blk[j] = a
             return blk
 
-        self._seal(_Operators(labels, d, stack))
+        self._seal(_Operators([[str(label) for label, _ in pairs]], d, stack))
 
     @classmethod
     def _new(cls, dims, bad_labels, factors: tuple[KrausChannel, ...] = ()) -> KrausChannel:
@@ -228,7 +208,7 @@ class KrausChannel:
         operators in batches writes them straight into their blocks.
         """
         ch = cls._new(dims, bad_labels)
-        ch._seal(_Operators(labels, ch.dim, make))
+        ch._seal(_Operators([labels], ch.dim, make))
         return ch
 
     def _seal(self, ops: _Operators, gram: np.ndarray | None = None) -> None:
@@ -266,12 +246,10 @@ class KrausChannel:
         return list(self.ops.labels)
 
     def operator(self, label: str) -> np.ndarray:
-        """The operator of one label; a product's is the Kronecker product of
-        its factors' operators, formed as its block would form it."""
+        """A read-only copy of one label's operator, formed as its block
+        forms it: a product's is the Kronecker product of its factors'."""
         j = self.ops.find(label)
-        if not self.factors:
-            return self.ops[j][1]
-        a = _kron_rows(self.factors, j, j + 1)[0]
+        a = _kron_rows(self.factors or (self,), j, j + 1)[0]
         a.setflags(write=False)
         return a
 
@@ -478,18 +456,17 @@ def tensor_channels(*channels: KrausChannel) -> KrausChannel:
     # a product's operator index unravels row-major over its own factors, so
     # nested products flatten without reordering a single operator
     factors = tuple(f for ch in channels for f in (ch.factors or (ch,)))
-    shape = tuple(len(f.ops) for f in factors)
-    count = math.prod(shape)
     dims = sum((f.dims for f in factors), ())
     d = math.prod(dims)
+    ops = _Operators([f.ops.labels for f in factors], d, functools.partial(_kron_rows, factors))
+    count = len(ops)
     admit(f"{count} operators of dimension {d}", ops=count, dim=d, nbytes=count * d * d * 16)
-    ops = _ProductOperators(factors, d, functools.partial(_kron_rows, factors))
     bad = frozenset()
     if any(f.bad_labels for f in factors):
-        flagged = np.zeros(shape, dtype=bool)
+        flagged = np.zeros([len(f.ops) for f in factors], dtype=bool)
         for axis, f in enumerate(factors):
             flags = np.array([l in f.bad_labels for l in f.ops.labels])
-            flagged |= flags.reshape((-1,) + (1,) * (len(shape) - axis - 1))
+            flagged |= flags.reshape((-1,) + (1,) * (len(factors) - axis - 1))
         bad = frozenset(itertools.compress(ops.labels, flagged.reshape(-1)))
     product = KrausChannel._new(dims, bad, factors)
     product._seal(ops, _kron_stack([f._completeness[None] for f in factors])[0])

@@ -80,6 +80,10 @@ def test_channel_rejects_duplicate_labels_and_bad_shapes():
         KrausChannel((2,), (("0", np.eye(3)),))
     with pytest.raises(ValueError):
         KrausChannel((2,), (("0", np.eye(2)),), bad_labels=frozenset({"zz"}))
+    # bad labels are read as strings, as operator labels are
+    assert KrausChannel((2,), ((0, a), (1, a)), bad_labels={1}).bad_labels == {"1"}
+    with pytest.raises(ValueError, match="^bad_labels names 'q', which is not a label"):
+        KrausChannel((2,), ((0, a), (1, a)), bad_labels={"q", 1})
 
 
 def test_channel_operator_lookup():
@@ -309,6 +313,21 @@ def test_product_labels_match_kron_chain_oracle():
             build(left, right)
 
 
+def test_labels_that_hold_commas_are_searched():
+    """A channel whose labels hold "," is found by searching its labels, not
+    by splitting them: a flat one named like a product, and its product."""
+    p = tensor_channels(gaussian_shift(3, 2), bit_flip(0.2))
+    flat = KrausChannel(p.dims, p.ops)  # labels like "-2,x"
+    for ch in (flat, tensor_channels(flat, bit_flip(0.3))):
+        stored = dict(KrausChannel(ch.dims, ch.ops).ops)
+        assert len(stored) == len(ch.ops)
+        for label in ch.labels():
+            assert np.abs(ch.operator(label) - stored[label]).max() <= 1e-15, label
+        for wrong in ("?", 0, ch.labels()[0] + ","):
+            with pytest.raises(KeyError):
+                ch.operator(wrong)
+
+
 def test_nested_products_join_no_operand_labels():
     """A product picks its separator and decides uniqueness from its flat
     factors' labels, so a product operand joins no label either."""
@@ -381,12 +400,18 @@ def test_tensor_channels_block_layout():
     big = tensor_channels(*factors)
     assert big.dim == 128 and {len(b) for b in big.blocks} == {4}
     assert_same_channel(big, kron_chain(*factors))
-    # a factor that itself spans several blocks (625 operators of 16 x 16)
+    # a product operand contributes its four one-block factors
     dep4 = tensor_independent(depolarizing(0.1), 4)
     assert len(dep4.blocks) == 3
     nested = tensor_channels(dep4, bit_flip(0.2))
     assert nested.labels()[:3] == ["00000", "0000x", "00010"]
     assert_same_channel(nested, kron_chain(*[depolarizing(0.1)] * 4, bit_flip(0.2)))
+    # a flat factor that itself spans several blocks: 200 operators of 32 x 32
+    words = ["".join(w) for w in itertools.islice(itertools.product("IXYZ", repeat=5), 200)]
+    paulis = PauliChannel(5, {w: 1 / 200 for w in words}).as_kraus()
+    assert [len(b) for b in paulis.blocks] == [64, 64, 64, 8]
+    for factors in ((bit_flip(0.2), paulis), (paulis, bit_flip(0.2))):
+        assert_same_channel(tensor_channels(*factors), kron_chain(*factors))
 
 
 def test_product_gram_is_the_kronecker_product_of_factor_grams():

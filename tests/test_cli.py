@@ -105,6 +105,12 @@ def test_mindist_builtin(capsys):
                                    "--alphabet", "X"])
     assert data["distance"] == 3
 
+    # a code given only by its codespace has no generators to search
+    assert main(["mindist", "--stabilizer", "cyclic7"]) == USAGE_EXIT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "has no stabilizer generators" in captured.err
+
 
 def test_mindist_cap_exceeded_reports_null(capsys):
     code, data = run_json(capsys, ["mindist", "--stabilizer", "fivequbit",
@@ -214,6 +220,17 @@ def test_simulate_custom_input_vector(capsys):
     ])
     assert code == 0
     assert data["metrics"]["success"] >= 0.9
+    # syndrome 00 with no flip, or all three flipped (X on the logical state):
+    # 0.729 + 0.001 x with x = <psi|X|psi>^2
+    for token, ok_mass in (("-", 0.73), ("[[1,0],[0,1]]", 0.729)):  # |0>-|1>, |0>+i|1>
+        code, data = run_json(capsys, [
+            "simulate", "--code", "repetition3",
+            "--channel", "independent n=3 bitflip p=0.1", "--input", token,
+        ])
+        assert code == 0
+        rows = {(r["syndrome"], r["logical"]): r["p"] for r in data["outcomes"]}
+        assert rows[("00", "ok")] == pytest.approx(ok_mass, abs=1e-9), token
+        assert rows[("00", "err")] == pytest.approx(0.73 - ok_mass, abs=1e-9), token
 
 
 def test_twirl_output(capsys):

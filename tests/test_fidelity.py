@@ -247,6 +247,16 @@ def test_bad_labels_the_channel_lacks_are_refused(monkeypatch):
             bad_branch_probability(ch, psi, {"xxq"})
         with pytest.raises(ValueError, match=refusal):
             bad_branch_error_bound(ch, {"xx0", "xxq"})
+    # bad labels are read as strings, as operator labels are
+    a = math.sqrt(0.5) * np.eye(2)
+    one = KrausChannel((2,), ((0, a), (1, a)))
+    zero = basis_state((2,), 0)
+    assert bad_branch_probability(one, zero, {1}) == pytest.approx(0.5, abs=1e-15)
+    assert bad_branch_error_bound(one, {1}) == pytest.approx(0.5, abs=1e-15)
+    for mixed in (lambda: bad_branch_probability(one, zero, {"q", 1}),
+                  lambda: bad_branch_error_bound(one, {"q", 1})):
+        with pytest.raises(ValueError, match="^bad_labels names 'q', which is not a label"):
+            mixed()
     # known labels still count: one flip on the third qubit
     assert bad_branch_probability(ch, psi, {"00x"}) == pytest.approx(0.1 * 0.9 ** 2, abs=1e-15)
     assert bad_branch_error_bound(ch, {"00x"}) == pytest.approx(0.1 * 0.9 ** 2, abs=1e-15)
