@@ -17,7 +17,14 @@ import numpy as np
 
 from .channels import KrausChannel
 from .codes import ClassicalCode, CodeSubspace, SubsystemIdentification
-from .gf2_symplectic import PauliProduct, _first_weight, _pauli_words, identity_word
+from .gf2_symplectic import (
+    PauliProduct,
+    SearchCapExceeded,
+    _apply_words,
+    _index_maps,
+    _masks,
+    _word_arrays,
+)
 from .hilbert import (
     ATOL_ALGEBRA,
     ATOL_EIG,
@@ -75,6 +82,10 @@ def correctable_classical(code: ClassicalCode, errs: list[dict]) -> ClassicalCor
 
 # --- quantum ------------------------------------------------------------------
 
+# bytes of one chunk of a batched row gather: freed arrays of several MiB make
+# glibc raise its mmap threshold and keep the heap resident
+_CHUNK_BYTES = 2 ** 20
+
 
 def _as_matrix(e) -> np.ndarray:
     if isinstance(e, LinearOperator):
@@ -124,10 +135,9 @@ def admit_error_count(code: CodeSubspace, m: int) -> None:
           nbytes=16 * (code.physical_dim * mk + 3 * mk * mk))
 
 
-def _times_code(e, c: np.ndarray, label: str) -> np.ndarray:
-    """E C: a signed row gather for a Pauli word, a matrix product otherwise.
-    A shape mismatch is refused from the word's qubit count, unallocated."""
-    d = c.shape[0]
+def _checked(e, d: int, label: str):
+    """The error as a PauliProduct or a matrix, refused unless it is d x d.
+    A word's shape comes from its qubit count, unallocated."""
     if isinstance(e, PauliProduct):
         shape = (2 ** e.n,) * 2 if e.n <= 64 else (f"2^{e.n}",) * 2
     else:
@@ -135,7 +145,7 @@ def _times_code(e, c: np.ndarray, label: str) -> np.ndarray:
         shape = e.shape
     if shape != (d, d):
         raise ValueError(f"error {label} has shape {shape}, but the code needs {(d, d)}")
-    return e.apply(c) if isinstance(e, PauliProduct) else e @ c
+    return e
 
 
 def _kl_kernel(code: CodeSubspace, errors, against_code: bool = False):
@@ -144,9 +154,10 @@ def _kl_kernel(code: CodeSubspace, errors, against_code: bool = False):
     G = B^dag B for B = [E_1 C | ... | E_m C], read as (m, k, m, k), holds
     G_ij = C^dag E_i^dag E_j C, and P E_i^dag E_j P = lambda_ij P exactly
     when G_ij = lambda_ij I_k.  With against_code the bra side is C alone
-    (G_j = C^dag E_j C, detectability).  A Pauli word's block E C is a
-    signed row gather of C, never a dense E.  Returns (labels, B, lambda,
-    residual) as kl_residual gives the last two.
+    (G_j = C^dag E_j C, detectability).  The blocks E C of all the Pauli
+    words are signed row gathers of C, done at once (a chunk of words at a
+    time), never a dense E; a matrix error's block is E @ C.  Returns
+    (labels, B, lambda, residual) as kl_residual gives the last two.
     """
     errors = list(errors)
     if not errors:
@@ -154,14 +165,28 @@ def _kl_kernel(code: CodeSubspace, errors, against_code: bool = False):
     admit_error_count(code, len(errors))
     k = code.dim
     c = code.basis_matrix()
+    d, m = c.shape[0], len(errors)
     labels = []
-    blocks = np.empty((c.shape[0], len(errors) * k), dtype=complex)
+    words = []
+    blocks = np.empty((d, m * k), dtype=complex)
     for i, item in enumerate(errors):
         label, e = item if isinstance(item, tuple) else (item, item)
         labels.append(str(label))
-        blocks[:, i * k:(i + 1) * k] = _times_code(e, c, labels[-1])
+        e = _checked(e, d, labels[-1])
+        if isinstance(e, PauliProduct):
+            words.append((i, e.x_bits, e.z_bits, e.phase_k))
+        else:
+            blocks[:, i * k:(i + 1) * k] = e @ c
+    if words:
+        at, x, z, phase = np.array(words).T
+        n = d.bit_length() - 1
+        step = _words_per_chunk(d, k)
+        for s in range(0, len(at), step):
+            part = slice(s, s + step)
+            ec = _apply_words(n, x[part], z[part], phase[part], c)
+            blocks.reshape(d, m, k)[:, at[part]] = ec.transpose(1, 0, 2)
     bra = c if against_code else blocks
-    g = (bra.conj().T @ blocks).reshape(bra.shape[1] // k, k, len(errors), k)
+    g = (bra.conj().T @ blocks).reshape(bra.shape[1] // k, k, m, k)
     return (tuple(labels), blocks, *kl_residual(g))
 
 
@@ -262,15 +287,32 @@ def min_distance_quantum(code: CodeSubspace, alphabet: str = "XYZ",
                          cap: int = 5) -> int:
     """Smallest weight of a Pauli word the code cannot detect.
 
-    Dense search over words of increasing weight; raises SearchCapExceeded
-    rather than guessing when the cap is passed.
+    Dense search over the words of increasing weight, a chunk of
+    gf2_symplectic._word_arrays at a time: the blocks E C of a chunk are one
+    signed row gather of the code basis C, and C^dag E C one stacked k x k
+    product per word.  A word is undetectable when max |C^dag E C - lambda I|
+    passes ATOL_ALGEBRA, detectable_quantum's rule (kl_residual).  A chunk's
+    working set stays near _CHUNK_BYTES, whatever the cap.  Raises
+    SearchCapExceeded rather than guessing when the cap is passed.
     """
     if any(d != 2 for d in code.physical_dims):
         raise ValueError("distance search expects qubit factors")
-    return _first_weight(
-        len(code.physical_dims), alphabet, cap,
-        lambda word: not detectable_quantum(code, word).detectable,
-    )
+    n = len(code.physical_dims)
+    c = code.basis_matrix()
+    d, k = c.shape
+    bra = np.ascontiguousarray(c.conj().T)
+    for w, x, z in _word_arrays(n, cap, alphabet, _words_per_chunk(d, k)):
+        g = bra @ _apply_words(n, _masks(x), _masks(z), 0, c)  # (m, k, k)
+        # every word of a chunk has weight w, so the chunk's worst residual decides
+        if kl_residual(g.transpose(1, 0, 2)[None])[1] > ATOL_ALGEBRA:
+            return w
+    raise SearchCapExceeded(cap)
+
+
+def _words_per_chunk(d: int, k: int) -> int:
+    """Words whose blocks E C (d x k complex) and index maps (d ints and d
+    complex signs each, with their temporaries) fit in _CHUNK_BYTES."""
+    return max(1, _CHUNK_BYTES // (8 * d * (2 * k + 4)))
 
 
 def weight_le_count(n: int, max_weight: int) -> int:
@@ -278,19 +320,37 @@ def weight_le_count(n: int, max_weight: int) -> int:
     return sum(math.comb(n, w) * 3 ** w for w in range(min(max_weight, n) + 1))
 
 
+def _weight_le_arrays(n: int, max_weight: int):
+    """Labels and boolean (x, z) rows of identity plus every Pauli word of
+    weight up to max_weight, in gf2_symplectic._word_arrays order."""
+    ident = np.zeros((1, n), dtype=bool)
+    chunks = [(ident, ident)] + [(x, z) for _, x, z in _word_arrays(n, max_weight)]
+    x = np.vstack([cx for cx, _ in chunks])
+    z = np.vstack([cz for _, cz in chunks])
+    tokens = [[f"{c}{j + 1}" for j in range(n)] for c in " XZY"]  # by x + 2z
+    labels = ["".join(tokens[c][j] for j, c in enumerate(row) if c) or "I"
+              for row in (x + 2 * z.astype(np.intp)).tolist()]
+    return labels, x, z
+
+
 def weight_le_words(n: int, max_weight: int = 1) -> list[tuple[str, PauliProduct]]:
     """Identity plus every Pauli word of weight up to max_weight, labeled."""
-    out = [("I", identity_word(n))]
-    for support, letters, word in _pauli_words(n, max_weight):
-        out.append(("".join(f"{c}{j + 1}" for j, c in zip(support, letters)), word))
-    return out
+    labels, x, z = _weight_le_arrays(n, max_weight)
+    return [(label, PauliProduct(n, xb, zb))
+            for label, xb, zb in zip(labels, _masks(x).tolist(), _masks(z).tolist())]
 
 
 def weight_le_errors(n: int, max_weight: int = 1) -> list[tuple[str, np.ndarray]]:
-    """weight_le_words as dense matrices, refused past MAX_KRAUS_BYTES unbuilt."""
+    """weight_le_words as dense matrices, refused past MAX_KRAUS_BYTES unbuilt:
+    one (m, d, d) stack, each word's signed entries scattered in at once."""
     admit(f"dense weight-{max_weight} errors on {n} qubits",
           nbytes=weight_le_count(n, max_weight) * 4 ** n * 16)
-    return [(label, word.dense()) for label, word in weight_le_words(n, max_weight)]
+    labels, x, z = _weight_le_arrays(n, max_weight)
+    src, coef = _index_maps(n, _masks(x), _masks(z), 0)
+    m, d = src.shape
+    out = np.zeros((m, d, d), dtype=complex)
+    out[np.arange(m)[:, None], np.arange(d), src] = coef
+    return list(zip(labels, out))
 
 
 def commutant(ops, dim: int) -> list[np.ndarray]:

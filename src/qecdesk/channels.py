@@ -120,20 +120,17 @@ class _Operators(Sequence):
     def labels(self) -> list[str]:
         return [self._sep.join(combo) for combo in itertools.product(*self._names)]
 
-    def find(self, label: str) -> int:
-        """The position of label; KeyError if it is not one."""
+    def find(self, label: str) -> tuple[int, ...]:
+        """Each factor's index of label's operator; KeyError if it is not one."""
         try:
             if not self._split:
-                return self.labels.index(label)
+                return np.unravel_index(self.labels.index(label), tuple(map(len, self._names)))
             if not isinstance(label, str):
                 raise ValueError
             parts = label.split(",") if self._sep else list(label)
             if len(parts) != len(self._names):
                 raise ValueError
-            j = 0
-            for ls, part in zip(self._names, parts):
-                j = j * len(ls) + ls.index(part)
-            return j
+            return tuple(ls.index(part) for ls, part in zip(self._names, parts))
         except ValueError:
             raise KeyError(label) from None
 
@@ -248,8 +245,8 @@ class KrausChannel:
     def operator(self, label: str) -> np.ndarray:
         """A read-only copy of one label's operator, formed as its block
         forms it: a product's is the Kronecker product of its factors'."""
-        j = self.ops.find(label)
-        a = _kron_rows(self.factors or (self,), j, j + 1)[0]
+        factors = self.factors or (self,)
+        a = _kron_stack([_gather(f, [i]) for f, i in zip(factors, self.ops.find(label))])[0]
         a.setflags(write=False)
         return a
 

@@ -17,10 +17,19 @@ Two words commute exactly when |x1 & z2| + |z1 & x2| is even.  All group
 arithmetic here is integer-exact, including phases.  A word acts on a vector
 as a signed row gather (`index_map`), so neither the analysis nor the
 codespace build needs its dense matrix.
+
+A set of words is one array form: boolean (m, n) X and Z matrices, qubit j
+in column j (`_word_arrays`, in chunks of bounded size).  Commutation with
+every generator is then one integer product mod 2, the syndromes
+X Gz^T + Z Gx^T, and stabilizer membership a reduction of the rows against
+the generators' echelon form.  Their bit masks (`_masks`) give all their
+row gathers at once (`_apply_words`); popcounts come from a byte table, so
+no numpy 2 function is needed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -32,6 +41,9 @@ _XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 _PHASE_TOKEN = {0: "", 1: "+i", 2: "-", 3: "-i"}
 _TOKEN_PHASE = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
+_PHASES = np.array([1, 1j, -1, -1j])  # i**k
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+_WORD_CHUNK = 4096  # rows in one chunk of a word set
 
 class SearchCapExceeded(Exception):
     """Raised when a minimum-distance search passes its weight cap."""
@@ -113,27 +125,22 @@ class PauliProduct:
         x = (self.x_bits & other.z_bits) ^ (self.z_bits & other.x_bits)
         return x.bit_count() % 2 == 0
 
+    def _arrays(self):
+        return np.array([self.x_bits]), np.array([self.z_bits]), self.phase_k
+
     def index_map(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, coef) with (P v)[i] = coef[i] * v[src[i]], qubit 0 the most
         significant bit of i: src = i ^ x, and coef = i^(phase_k + y) signed by
         (-1)^|src & z|."""
-        src = np.arange(2 ** self.n) ^ self.x_bits
-        phase = (1, 1j, -1, -1j)[(self.phase_k + self._ys()) % 4]
-        parity = np.zeros_like(src)
-        for bit in range(self.n):
-            if self.z_bits >> bit & 1:
-                parity ^= src >> bit
-        return src, np.where(parity & 1, -phase, phase).astype(complex)
+        src, coef = _index_maps(self.n, *self._arrays())
+        return src[0], coef[0]
 
     def apply(self, m) -> np.ndarray:
         """P m for a vector or the columns of a matrix: a row gather with a sign."""
         m = np.asarray(m)
         if m.shape[:1] != (2 ** self.n,):
             raise ValueError(f"{self} acts on {2 ** self.n} rows, got shape {m.shape}")
-        src, coef = self.index_map()
-        out = m[src].astype(complex, copy=False)
-        out *= coef.reshape((-1,) + (1,) * (m.ndim - 1))
-        return out
+        return _apply_words(self.n, *self._arrays(), m)[0]
 
     def dense(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix, qubit 0 as the most significant factor."""
@@ -150,6 +157,37 @@ def _letters_word(n: int, qubits, letters, phase_k: int = 0) -> PauliProduct:
         x |= _XZ[c][0] << (n - 1 - j)
         z |= _XZ[c][1] << (n - 1 - j)
     return PauliProduct(n, x, z, phase_k)
+
+
+def _popcount(v: np.ndarray, nbits: int) -> np.ndarray:
+    """Popcount of each entry of a nonnegative int array below 2**nbits,
+    summed from the byte table."""
+    return sum(_POPCOUNT[v >> s & 0xFF] for s in range(0, nbits, 8))
+
+
+def _masks(b: np.ndarray) -> np.ndarray:
+    """The bit masks of boolean (m, n) rows, qubit j at bit n-1-j: int64,
+    or Python ints past 62 qubits."""
+    n = b.shape[1]
+    place = [1 << s for s in range(n - 1, -1, -1)]
+    return b.dot(np.array(place, dtype=np.int64 if n <= 62 else object))
+
+
+def _index_maps(n: int, x: np.ndarray, z: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
+    """index_map of every word with masks x, z and phase powers k (arrays of
+    one length, or k a scalar), stacked: src and coef are (len(x), 2^n)."""
+    src = np.arange(2 ** n) ^ x[:, None]
+    q = (k + _popcount(x & z, n))[:, None] + 2 * _popcount(src & z[:, None], n)
+    return src, _PHASES[q % 4]
+
+
+def _apply_words(n: int, x: np.ndarray, z: np.ndarray, k, m: np.ndarray) -> np.ndarray:
+    """P_i m for every word of _index_maps, stacked as (len(x),) + m.shape:
+    one signed row gather for all of them."""
+    src, coef = _index_maps(n, x, z, k)
+    out = m[src].astype(complex, copy=False)
+    out *= coef.reshape(coef.shape + (1,) * (m.ndim - 1))
+    return out
 
 
 def identity_word(n: int) -> PauliProduct:
@@ -256,37 +294,72 @@ class StabilizerGeneratorSet:
     def in_centralizer(self, p: PauliProduct) -> bool:
         return all(p.commutes(g) for g in self.generators)
 
+    @functools.cached_property
+    def _search_rows(self):
+        """[Gz | Gx]^T, the generators' bits as a uint8 (2n, r) matrix, so
+        that an (x | z) row times it is the row's syndrome; and each echelon
+        row as (its pivot's entry, the row) in an (x | z) bool row."""
+        n = self.n
+        bits = lambda v, nbits: [v >> s & 1 for s in range(nbits - 1, -1, -1)]
+        g = np.array([bits(p.z_bits << n | p.x_bits, 2 * n) for p in self.generators],
+                     dtype=np.uint8)
+        # pivot column c of a symplectic_int is entry 2n-1-c of an (x | z) row
+        pivots = [(2 * n - 1 - c, np.array(bits(r, 2 * n), dtype=bool))
+                  for c, r in zip(self._pivots, self._reduced)]
+        return g.T.copy(), pivots
+
     def min_distance(self, alphabet: str = "XYZ", cap: int = 5) -> int:
         """Smallest weight of a centralizer element outside the generated group.
 
-        Enumerates words of increasing weight whose non-identity letters are
-        drawn from `alphabet`.  Raises SearchCapExceeded past the cap rather
-        than guessing.
+        Searches the words of increasing weight whose non-identity letters
+        are drawn from `alphabet`, a chunk of _word_arrays at a time: the
+        chunk's syndromes are one integer product mod 2, and only the rows
+        with a zero syndrome are reduced against the generators' echelon
+        rows.  Raises SearchCapExceeded past the cap rather than guessing.
         """
-        return _first_weight(
-            self.n, alphabet, cap,
-            lambda p: self.in_centralizer(p) and not self.contains(p),
-        )
+        g, pivots = self._search_rows
+        for w, x, z in _word_arrays(self.n, cap, alphabet):
+            rows = np.hstack([x, z])
+            # X Gz^T + Z Gx^T; sums wrap mod 256 in uint8, which keeps their parity
+            rows = rows[~((rows.view(np.uint8) @ g) & 1).any(axis=1)]
+            for col, row in pivots:
+                rows[rows[:, col]] ^= row
+            if rows.any():
+                return w
+        raise SearchCapExceeded(cap)
 
 
-def _pauli_words(n: int, max_weight: int, alphabet: str = "XYZ"):
-    """Yield (support, letters, word) for every word of weight 1..max_weight.
+def _word_arrays(n: int, max_weight: int, alphabet: str = "XYZ", chunk: int = _WORD_CHUNK):
+    """Yield the words of weight 1..max_weight as (w, x, z): x and z boolean
+    (m, n) matrices, qubit j in column j, and m <= chunk.
 
     Order: weight ascending, then supports in combinations order, then
-    letters in product order over the sorted alphabet.
+    letters in product order over the sorted alphabet.  A chunk holds several
+    whole supports, or one support's letter choices that share their leading
+    letters; it is built only when it is read, so a search that stops early
+    builds no later chunk and memory does not grow with max_weight.
     """
     letters = sorted(set(alphabet))
     if any(c not in "XYZ" for c in letters) or not letters:
         raise ValueError(f"alphabet must be a nonempty subset of XYZ, got {alphabet!r}")
+    lx = np.array([_XZ[c][0] for c in letters], dtype=bool)
+    lz = np.array([_XZ[c][1] for c in letters], dtype=bool)
+    a = len(letters)
     for w in range(1, min(max_weight, n) + 1):
-        for support in itertools.combinations(range(n), w):
-            for choice in itertools.product(letters, repeat=w):
-                yield support, choice, _letters_word(n, support, choice)
-
-
-def _first_weight(n: int, alphabet: str, cap: int, predicate) -> int:
-    """Smallest weight of a word with predicate(word) true; SearchCapExceeded past cap."""
-    for support, _, word in _pauli_words(n, cap, alphabet):
-        if predicate(word):
-            return len(support)
-    raise SearchCapExceeded(cap)
+        t = w  # the last t letters vary within a chunk, the leading w - t do not
+        while t and a ** t > chunk:
+            t -= 1
+        tails = np.array(list(itertools.product(range(a), repeat=t)), dtype=np.intp)
+        tails = tails.reshape(a ** t, t)
+        supports = itertools.combinations(range(n), w)
+        while batch := list(itertools.islice(supports, max(1, chunk // a ** w))):
+            cols = np.repeat(np.array(batch), len(tails), axis=0)
+            r = np.arange(len(cols))[:, None]
+            for lead in itertools.product(range(a), repeat=w - t):
+                head = np.broadcast_to(np.array(lead, dtype=np.intp), (len(tails), w - t))
+                choice = np.tile(np.hstack([head, tails]), (len(batch), 1))
+                x = np.zeros((len(cols), n), dtype=bool)
+                z = np.zeros((len(cols), n), dtype=bool)
+                x[r, cols] = lx[choice]
+                z[r, cols] = lz[choice]
+                yield w, x, z

@@ -1,7 +1,8 @@
 """Reference constructions that the package's fast paths replaced.
 
 Each builds the same object the straightforward way: Kronecker chains and
-projector products for Pauli words and codespaces, loops over the operators
+projector products for Pauli words and codespaces, one validated word at a
+time for the Pauli word sets and both distance searches, loops over the operators
 of a flat channel for the action and entanglement fidelity of a product,
 per-syndrome and per-branch loops for the pipeline outcome tables, and the
 average over the 24-element rotation group for the Clifford twirl.  Tests
@@ -16,6 +17,7 @@ import numpy as np
 
 from qecdesk.channels import KrausChannel, PauliChannel, depolarizing
 from qecdesk.codes import CodeSubspace, SubsystemIdentification
+from qecdesk.gf2_symplectic import SearchCapExceeded, _letters_word
 from qecdesk.hilbert import ATOL_ALGEBRA, LinearOperator, StateVector, exp_hermitian, pauli
 from qecdesk.pipelines import PipelineReport
 
@@ -38,6 +40,30 @@ def dense_word(word) -> np.ndarray:
     for c in letters:
         m = np.kron(m, PAULI_1Q["IXYZ".index(c)])
     return m
+
+
+def pauli_words(n: int, max_weight: int, alphabet: str = "XYZ"):
+    """Yield (support, letters, word) for every word of weight 1..max_weight.
+
+    Order: weight ascending, then supports in combinations order, then
+    letters in product order over the sorted alphabet.
+    """
+    letters = sorted(set(alphabet))
+    if any(c not in "XYZ" for c in letters) or not letters:
+        raise ValueError(f"alphabet must be a nonempty subset of XYZ, got {alphabet!r}")
+    for w in range(1, min(max_weight, n) + 1):
+        for support in itertools.combinations(range(n), w):
+            for choice in itertools.product(letters, repeat=w):
+                yield support, choice, _letters_word(n, support, choice)
+
+
+def first_weight(n: int, alphabet: str, cap: int, predicate) -> int:
+    """Smallest weight of a word with predicate(word) true, judged one word at
+    a time in pauli_words order; SearchCapExceeded past cap."""
+    for support, _, word in pauli_words(n, cap, alphabet):
+        if predicate(word):
+            return len(support)
+    raise SearchCapExceeded(cap)
 
 
 def projector_codespace(stab) -> CodeSubspace:

@@ -313,6 +313,21 @@ def test_product_labels_match_kron_chain_oracle():
             build(left, right)
 
 
+def test_operator_is_a_read_only_copy_of_the_kron_chain():
+    """operator() gathers each factor's row at the indices find() splits the
+    label into: bit for bit kron_chain's operator for a flat channel, a
+    product and a nested product (dyadic entries keep every fold exact),
+    read-only, and sharing no memory with the blocks."""
+    quarter = KrausChannel((2,), tuple((u.lower(), 0.5 * SIGMA[u]) for u in "IXYZ"))
+    nested = tensor_channels(tensor_channels(quarter, quarter), quarter)
+    for ch in (quarter, tensor_channels(bit_flip(0.3), gaussian_shift(3, 2)), nested):
+        want = dict(kron_chain(ch).ops)
+        for label in ch.labels():
+            a = ch.operator(label)
+            assert np.array_equal(a, want[label]) and not a.flags.writeable, label
+            assert not any(np.shares_memory(a, b) for b in ch.blocks)
+
+
 def test_labels_that_hold_commas_are_searched():
     """A channel whose labels hold "," is found by searching its labels, not
     by splitting them: a flat one named like a product, and its product."""
