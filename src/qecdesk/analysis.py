@@ -257,17 +257,25 @@ def decoder_identification(code: CodeSubspace,
 
 def synthesize_decoder(code: CodeSubspace, errors) -> tuple[SubsystemIdentification, KrausChannel]:
     """decoder_identification plus its dense recovery channel, the reference
-    it is checked against: R_k = C W_k^dag, and R_fail = I - W W^dag when the
-    blocks do not fill the space."""
+    it is checked against: R_k = C W_k^dag, and R_fail = F = I - W W^dag when
+    the blocks do not fill the space.
+
+    The channel is sealed from W and C alone: its sum R^dag R is
+    sum_k W_k (C^dag C) W_k^dag (+ F^dag F), two small products in place of
+    a pass over the dense operators, which are built on their first read.
+    """
     ident = decoder_identification(code, correctable_quantum(code, errors))
     w = ident.isometry.matrix
     s, dl, d = ident.syndrome_dim, ident.logical_dim, code.physical_dim
     cmat = code.basis_matrix()
     labels = [str(k) for k in range(s)]
     bad: frozenset[str] = frozenset()
+    completeness = (w.reshape(d, s, dl) @ (cmat.conj().T @ cmat)).reshape(d, s * dl) @ w.conj().T
     if not ident.is_complete():
         labels.append("fail")
         bad = frozenset({"fail"})
+        f = np.eye(d) - w @ w.conj().T
+        completeness += f.conj().T @ f
     adjoints = w.reshape(d, s, dl).conj().transpose(1, 2, 0)  # [k] = W_k^dag
 
     def recovery_ops(start, stop):
@@ -279,7 +287,7 @@ def synthesize_decoder(code: CodeSubspace, errors) -> tuple[SubsystemIdentificat
             out[-1] = np.eye(d) - w @ w.conj().T
         return out
 
-    recovery = KrausChannel._build(code.physical_dims, labels, recovery_ops, bad)
+    recovery = KrausChannel._build(code.physical_dims, labels, recovery_ops, bad, completeness)
     return ident, recovery
 
 

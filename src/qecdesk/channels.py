@@ -7,9 +7,8 @@ is what makes coarse per-label error bounds and branch sampling meaningful.
 The operators are stored in read-only stacked blocks of shape (c, d, d), each
 of at most 2**16 complex entries (1 MiB), or one operator when a single
 operator is larger; `ops` is the sequence of (label, view) pairs over them.
-Synthesized recoveries are computed straight into these blocks, and consumers
-with a small per-operator body contract a whole block at a time: a pure input
-goes through as branch vectors A_k psi, one GEMV per block.
+Consumers with a small per-operator body contract a whole block at a time: a
+pure input goes through as branch vectors A_k psi, one GEMV per block.
 
 A product of independent noise keeps its flat factor channels as `factors`
 and builds its blocks (batched Kronecker products of factor operators) only
@@ -18,10 +17,14 @@ indexing `ops`.  Until then apply_pure and apply_matrix use one d_i^2 x d_i^2
 superoperator sum_k A_k (x) conj(A_k) per factor, on that factor's (row,
 column) axis pair, and its caps and labels are checked as for its flat form.
 Every channel counts, names and finds its operators from one label list per
-flat factor (see _Operators).  Trace preservation is checked once against
-sum A^dag A: a flat channel computes it with one real SYRK per block and
-keeps it, and a product folds its factors' kept sums, since
-sum (A (x) B)^dag (A (x) B) = (sum A^dag A) (x) (sum B^dag B).
+flat factor (see _Operators).  Trace preservation is checked once, against
+sum A^dag A, by one rule: explicit operators are stacked and their sum taken
+with one real SYRK per block (_gram), and a built channel brings its sum from
+its structure and builds its blocks on first read.  A product folds its
+factors' kept sums, since sum (A (x) B)^dag (A (x) B) = (sum A^dag A) (x)
+(sum B^dag B); a synthesized recovery folds its syndrome blocks and code basis
+(analysis.synthesize_decoder).  A flat channel keeps its sum, so that it can
+be a product factor.
 """
 
 from __future__ import annotations
@@ -198,22 +201,28 @@ class KrausChannel:
         return ch
 
     @classmethod
-    def _build(cls, dims, labels: list[str], make, bad_labels: frozenset[str]) -> KrausChannel:
-        """Channel whose operators start:stop come stacked from make(start, stop).
+    def _build(cls, dims, labels: list[str], make, bad_labels: frozenset[str],
+               completeness: np.ndarray) -> KrausChannel:
+        """Flat channel whose operators start:stop come stacked from
+        make(start, stop), with completeness = sum A^dag A computed by the
+        caller from the operators' structure.
 
-        make is called once per block, in order, so a caller that computes
-        operators in batches writes them straight into their blocks.
+        Only completeness is checked here.  make runs on the first read of
+        `blocks`, `ops` or `branch_blocks`, once per block and in order, so
+        a caller that computes operators in batches writes them straight
+        into their blocks, and a channel that is never read builds none.
         """
         ch = cls._new(dims, bad_labels)
-        ch._seal(_Operators([labels], ch.dim, make))
+        ch._seal(_Operators([labels], ch.dim, make), completeness)
         return ch
 
-    def _seal(self, ops: _Operators, gram: np.ndarray | None = None) -> None:
+    def _seal(self, ops: _Operators, completeness: np.ndarray | None = None) -> None:
         """The one validation behind every way in; freezes the operators.
 
-        Trace preservation compares sum A^dag A with the identity: the gram a
-        product passes (tensor_channels folds it from its factors' kept
-        sums), or else _gram over the blocks, built here and kept.
+        Trace preservation compares sum A^dag A with the identity: the sum a
+        built channel brings from its structure (a product's is folded from
+        its factors' kept sums), or else _gram over the blocks, built here.
+        A flat channel keeps the sum as `_completeness`.
         """
         if not len(ops):
             raise ValueError("channel needs at least one operator")
@@ -223,11 +232,14 @@ class KrausChannel:
             dup = next(l for l in ops.labels if l in seen or seen.add(l))
             raise ValueError(f"duplicate label {dup!r}")
         bad = _known_labels(self.bad_labels, ops)
-        if gram is None:
-            gram = _gram(ops.blocks, self.dim)
-            object.__setattr__(self, "_completeness", gram)
-        if not np.abs(gram - np.eye(self.dim)).max() <= ATOL_ALGEBRA:
+        if completeness is None:
+            completeness = _gram(ops.blocks, self.dim)
+        eye = np.eye(self.dim)
+        if not (completeness.shape == eye.shape
+                and np.abs(completeness - eye).max() <= ATOL_ALGEBRA):
             raise ValueError("operator sum is not trace preserving")
+        if not self.factors:
+            object.__setattr__(self, "_completeness", completeness)
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "bad_labels", bad)
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,16 @@ from qecdesk.analysis import (
     weight_le_errors,
     weight_le_words,
 )
-from qecdesk.channels import collective_rotation, collective_spin
+from qecdesk.channels import (
+    KrausChannel,
+    _gram,
+    bit_flip,
+    collective_rotation,
+    collective_spin,
+    depolarizing,
+    identity_channel,
+    tensor_channels,
+)
 from qecdesk.codes import (
     FIVE_QUBIT_GENERATORS,
     ClassicalCode,
@@ -41,7 +51,8 @@ from qecdesk.gf2_symplectic import (
     StabilizerGeneratorSet,
     single_qubit_word,
 )
-from qecdesk.hilbert import ATOL_ALGEBRA
+from qecdesk.hilbert import ATOL_ALGEBRA, StateVector
+from qecdesk.pipelines import run_corrected
 
 STEANE = ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"]
 SHOR = ["ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI", "IIIIIIIZZ",
@@ -374,6 +385,50 @@ def test_synthesize_decoder_drops_null_directions():
     fixed = recovery.apply_matrix(corrupted)
     fixed /= np.trace(fixed).real
     assert (psi.conj() @ fixed @ psi).real > 1 - 1e-8
+
+
+def test_synthesized_recovery_is_sealed_from_w_and_c():
+    """The recovery's kept sum R^dag R, folded from W and C, matches the dense
+    oracle over its operators, which wait for their first read and then
+    equal an eagerly stored copy, read as a decoder or a product factor."""
+    rep3 = builtin_code("repetition3").subspace
+    x1 = embed(SIGMA["X"], 0)
+    cases = {
+        "repetition3": (rep3, [("I", np.eye(8))] + [
+            (f"X{i+1}", embed(SIGMA["X"], i)) for i in range(3)]),
+        "fivequbit w<=1": (builtin_code("fivequbit").subspace, weight_le_errors(5, 1)),
+        "steane w<=1": (stabilizer_codespace(StabilizerGeneratorSet.from_strings(STEANE)),
+                        weight_le_errors(7, 1)),
+        "null direction": (rep3, [("I", np.eye(8)), ("a", x1), ("b", x1)]),
+    }
+    rng = np.random.default_rng(35)
+    for name, (space, errs) in cases.items():
+        _, recovery = synthesize_decoder(space, errs)
+        assert "blocks" not in recovery.ops.__dict__, name
+        assert tensor_channels(recovery, bit_flip(0.1)).dims == space.physical_dims + (2,)
+        n = len(space.physical_dims)
+        noise = tensor_channels(depolarizing(0.2), identity_channel((2,) * (n - 1)))
+        psi = StateVector((2,), rand_state(rng, 2))
+        lazy = run_corrected(space, recovery, noise, psi)
+        eager = KrausChannel(recovery.dims, tuple(recovery.ops), recovery.bad_labels)
+        assert np.array_equal(np.concatenate(recovery.blocks), np.concatenate(eager.blocks)), name
+        oracle = _gram(recovery.blocks, recovery.dim)
+        assert np.abs(recovery._completeness - oracle).max() <= 1e-13, name
+        assert run_corrected(space, eager, noise, psi).outcomes == lazy.outcomes, name
+
+
+def test_synthesized_recovery_builds_no_operators_until_read():
+    # Steane's 23 dense 128 x 128 recovery operators would take 5.9 MB
+    steane = stabilizer_codespace(StabilizerGeneratorSet.from_strings(STEANE))
+    errs = weight_le_errors(7, 1)
+    tracemalloc.start()
+    try:
+        _, recovery = synthesize_decoder(steane, errs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "blocks" not in recovery.ops.__dict__
+    assert kept <= 2 ** 20 and peak <= 2 * 2 ** 20, (kept, peak)
 
 
 def test_synthesize_decoder_rejects_uncorrectable_sets():

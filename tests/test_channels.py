@@ -466,11 +466,12 @@ def test_products_check_trace_preservation_on_their_factors(monkeypatch):
     dep = depolarizing(0.1)
     assert tensor_independent(dep, 5).dim == 32
     assert seen == [2]  # the one distinct factor, once
-    # explicit operators and the synthesized recovery keep the flat sum
+    # explicit operators are summed over; the synthesized recovery brings its
+    # sum from its syndrome blocks and code basis
     KrausChannel((4,), (("0", np.eye(4, dtype=complex)),))
     assert seen == [2, 4]
     synthesize_decoder(builtin_code("fivequbit").subspace, weight_le_errors(5, 1))
-    assert seen[-1] == 32
+    assert seen == [2, 4]
 
 
 def test_both_ways_in_reject_invalid_operator_sets():
@@ -483,21 +484,21 @@ def test_both_ways_in_reject_invalid_operator_sets():
         KrausChannel((2,), (("0", a), ("0", a)))
     with pytest.raises(ValueError, match="shape"):
         KrausChannel((2,), (("0", a), ("1", np.eye(3))))
-    def build(labels, stack, bad=frozenset()):
-        return KrausChannel._build((2,), labels, lambda start, stop: stack, bad)
+    def build(labels, stack, bad=frozenset(), completeness=np.eye(2)):
+        return KrausChannel._build((2,), labels, lambda start, stop: stack, bad, completeness)
 
     pair = np.stack([a, a])
     assert build(["0", "1"], pair).labels() == ["0", "1"]
     with pytest.raises(ValueError, match="trace preserving"):
-        build(["0", "1"], np.stack([a, 2 * a]))
+        build(["0", "1"], np.stack([a, 2 * a]), completeness=_gram([np.stack([a, 2 * a])], 2))
+    with pytest.raises(ValueError, match="trace preserving"):  # the sum must be d x d
+        build(["0", "1"], pair, completeness=np.eye(1))
     with pytest.raises(ValueError, match="duplicate label '0'"):
         build(["0", "0"], pair)
-    with pytest.raises(ValueError, match="want complex"):
-        build(["0", "1"], np.stack([a, a, a]))
-    with pytest.raises(ValueError, match="want complex"):
-        build(["0", "1"], np.zeros((2, 2, 3), dtype=complex))
-    with pytest.raises(ValueError, match="want complex"):
-        build(["0", "1"], pair.real)
+    # a built channel's operators are checked on their first read
+    for stack in (np.stack([a, a, a]), np.zeros((2, 2, 3), dtype=complex), pair.real):
+        with pytest.raises(ValueError, match="want complex"):
+            build(["0", "1"], stack).blocks
     with pytest.raises(ValueError, match="bad_labels"):
         build(["0", "1"], pair, frozenset({"z"}))
     with pytest.raises(ValueError, match="cap"):
@@ -693,7 +694,8 @@ def test_imaginary_trace_defect_is_refused():
     with pytest.raises(ValueError, match="trace preserving"):
         KrausChannel((2,), (("0", a),))
     with pytest.raises(ValueError, match="trace preserving"):
-        KrausChannel._build((2,), ["0"], lambda start, stop: a[None].copy(), frozenset())
+        KrausChannel._build((2,), ["0"], lambda start, stop: a[None].copy(), frozenset(),
+                            a.conj().T @ a)
 
 
 def test_spec_keys_are_checked():
