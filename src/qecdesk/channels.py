@@ -400,16 +400,21 @@ def collective_spin(u: str, n: int = 3) -> LinearOperator:
     return LinearOperator((2,) * n, (2,) * n, 0.5 * sum(terms))
 
 
+def collective_rotations(vs, n: int = 3) -> np.ndarray:
+    """exp(-i v.J) for each row v of an (R, 3) array, as an (R, 2^n, 2^n)
+    stack: H = v_x J_x + v_y J_y + v_z J_z per row, one stacked eigh."""
+    vs = np.asarray(vs, dtype=float)
+    if vs.ndim != 2 or vs.shape[1] != 3:
+        raise ValueError(f"rotation vectors need shape (R, 3), got {vs.shape}")
+    jx, jy, jz = (collective_spin(u, n).matrix for u in "XYZ")
+    h = vs[:, 0, None, None] * jx + vs[:, 1, None, None] * jy + vs[:, 2, None, None] * jz
+    return exp_hermitian(h, 1.0)
+
+
 def collective_rotation(v: tuple[float, float, float], n: int = 3) -> KrausChannel:
-    """Unitary exp(-i v.J), the same rotation applied to every spin at once."""
-    vx, vy, vz = v
-    h = (
-        vx * collective_spin("X", n).matrix
-        + vy * collective_spin("Y", n).matrix
-        + vz * collective_spin("Z", n).matrix
-    )
-    u = exp_hermitian(LinearOperator((2,) * n, (2,) * n, h), 1.0)
-    return KrausChannel((2,) * n, (("rot", u.matrix),))
+    """Unitary exp(-i v.J), the same rotation applied to every spin at once:
+    the one-row case of collective_rotations, as a one-operator channel."""
+    return KrausChannel((2,) * n, (("rot", collective_rotations([v], n)[0]),))
 
 
 def channel_from_unitary(

@@ -19,20 +19,11 @@ import numpy as np
 from .gf2_symplectic import PauliProduct, StabilizerGeneratorSet, _nullspace
 from .hilbert import (
     ATOL_ALGEBRA,
-    DensityOperator,
     LinearOperator,
     StateVector,
     _check_dims,
     from_json_array,
 )
-
-
-class LeakageDetected(Exception):
-    """State mass found outside the range of a partial identification."""
-
-    def __init__(self, mass: float):
-        super().__init__(f"leakage mass {mass} outside the identified subspace")
-        self.mass = mass
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,32 +121,6 @@ class SubsystemIdentification:
         sigma = w.conj().T @ rho @ w
         leak = float(np.trace(rho).real - np.trace(sigma).real)
         return sigma, max(leak, 0.0)
-
-    def logical_matrix(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
-        """Trace the syndrome factor out of W^dag rho W."""
-        sigma, leak = self.subsystem_matrix(rho)
-        t = sigma.reshape(self.syndrome_dim, self.logical_dim,
-                          self.syndrome_dim, self.logical_dim)
-        return np.einsum("sasb->ab", t), leak
-
-
-def syndrome_reset(ident: SubsystemIdentification, rho: DensityOperator) -> DensityOperator:
-    """Discard the syndrome and re-prepare it in the base value.
-
-    The logical factor is untouched.  Raises LeakageDetected if the state has
-    weight outside the identified subspace.
-    """
-    if rho.dims != ident.physical_dims:
-        raise ValueError(f"state dims {rho.dims} do not match the identification's "
-                         f"{ident.physical_dims}")
-    rho_l, leak = ident.logical_matrix(rho.matrix)
-    if leak > ATOL_ALGEBRA:
-        raise LeakageDetected(leak)
-    b, dl = ident.syndrome_base, ident.logical_dim
-    fresh = np.zeros((ident.syndrome_dim * dl,) * 2, dtype=complex)
-    fresh[b * dl:(b + 1) * dl, b * dl:(b + 1) * dl] = rho_l
-    w = ident.isometry.matrix
-    return DensityOperator(ident.physical_dims, w @ fresh @ w.conj().T)
 
 
 # --- classical codes ---------------------------------------------------------

@@ -259,18 +259,22 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
 
 
 def herm_eig(op: LinearOperator | np.ndarray):
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
+    """Eigendecomposition, eigenvalues ascending, of a Hermitian operator or
+    of each matrix of an (..., d, d) stack; one bad matrix refuses them all."""
     m = op.matrix if isinstance(op, LinearOperator) else np.asarray(op, dtype=complex)
-    if not np.abs(m - m.conj().T).max() <= ATOL_ALGEBRA:
+    if not np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0) <= ATOL_ALGEBRA:
         raise ValueError("operator is not Hermitian")
     return np.linalg.eigh(m)
 
 
-def exp_hermitian(op: LinearOperator, t: float = 1.0) -> LinearOperator:
-    """exp(-i H t) for Hermitian H; sign convention is the physics one."""
+def exp_hermitian(op: LinearOperator | np.ndarray, t: float = 1.0):
+    """exp(-i H t) for Hermitian H, physics sign convention: an operator for
+    an operator, and for an (..., d, d) stack of H the stack of exponentials."""
     w, v = herm_eig(op)
-    m = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return LinearOperator(op.dims_in, op.dims_out, m)
+    m = (v * np.exp(-1j * w * t)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    if isinstance(op, LinearOperator):
+        return LinearOperator(op.dims_in, op.dims_out, m)
+    return m
 
 
 def to_json_array(a: np.ndarray) -> list:

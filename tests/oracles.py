@@ -4,9 +4,11 @@ Each builds the same object the straightforward way: Kronecker chains and
 projector products for Pauli words and codespaces, one validated word at a
 time for the Pauli word sets and both distance searches, loops over the operators
 of a flat channel for the action and entanglement fidelity of a product,
-per-syndrome and per-branch loops for the pipeline outcome tables, and the
-average over the 24-element rotation group for the Clifford twirl.  Tests
-compare the package against them.
+per-syndrome and per-branch loops for the pipeline outcome tables, the
+average over the 24-element rotation group for the Clifford twirl, one
+channel per collective rotation for the noiseless-qubit check, and the
+syndrome reset that re-prepares a decoded state.  Tests compare the package
+against them.
 """
 
 import functools
@@ -15,10 +17,18 @@ import math
 
 import numpy as np
 
-from qecdesk.channels import KrausChannel, PauliChannel, depolarizing
+from qecdesk.analysis import kl_residual
+from qecdesk.channels import KrausChannel, PauliChannel, collective_spin, depolarizing
 from qecdesk.codes import CodeSubspace, SubsystemIdentification
 from qecdesk.gf2_symplectic import SearchCapExceeded, _letters_word
-from qecdesk.hilbert import ATOL_ALGEBRA, LinearOperator, StateVector, exp_hermitian, pauli
+from qecdesk.hilbert import (
+    ATOL_ALGEBRA,
+    DensityOperator,
+    LinearOperator,
+    StateVector,
+    exp_hermitian,
+    pauli,
+)
 from qecdesk.pipelines import PipelineReport
 
 PAULI_1Q = (
@@ -95,6 +105,42 @@ def flat_entanglement_fidelity(channel: KrausChannel) -> float:
     """sum |tr a|^2 / d^2 over the operators of KrausChannel(channel.dims, channel.ops)."""
     flat = KrausChannel(channel.dims, channel.ops)
     return sum(abs(np.trace(a)) ** 2 for _, a in flat.ops) / flat.dim ** 2
+
+
+class LeakageDetected(Exception):
+    """State mass found outside the range of a partial identification."""
+
+    def __init__(self, mass: float):
+        super().__init__(f"leakage mass {mass} outside the identified subspace")
+        self.mass = mass
+
+
+def logical_matrix(ident: SubsystemIdentification,
+                   rho: np.ndarray) -> tuple[np.ndarray, float]:
+    """(the syndrome factor traced out of W^dag rho W, leakage mass)."""
+    sigma, leak = ident.subsystem_matrix(rho)
+    t = sigma.reshape(ident.syndrome_dim, ident.logical_dim,
+                      ident.syndrome_dim, ident.logical_dim)
+    return np.einsum("sasb->ab", t), leak
+
+
+def syndrome_reset(ident: SubsystemIdentification, rho: DensityOperator) -> DensityOperator:
+    """Discard the syndrome and re-prepare it in the base value.
+
+    The logical factor is untouched.  Raises LeakageDetected if the state has
+    weight outside the identified subspace.
+    """
+    if rho.dims != ident.physical_dims:
+        raise ValueError(f"state dims {rho.dims} do not match the identification's "
+                         f"{ident.physical_dims}")
+    rho_l, leak = logical_matrix(ident, rho.matrix)
+    if leak > ATOL_ALGEBRA:
+        raise LeakageDetected(leak)
+    b, dl = ident.syndrome_base, ident.logical_dim
+    fresh = np.zeros((ident.syndrome_dim * dl,) * 2, dtype=complex)
+    fresh[b * dl:(b + 1) * dl, b * dl:(b + 1) * dl] = rho_l
+    w = ident.isometry.matrix
+    return DensityOperator(ident.physical_dims, w @ fresh @ w.conj().T)
 
 
 def syndrome_loop_run(ident: SubsystemIdentification, channel: KrausChannel,
@@ -238,3 +284,33 @@ def group_average_twirl(pch: PauliChannel) -> KrausChannel:
     return PauliChannel(
         1, {"I": 1.0 - s, "X": s / 3.0, "Y": s / 3.0, "Z": s / 3.0}
     ).as_kraus()
+
+
+def collective_rotation(v: tuple[float, float, float], n: int = 3) -> KrausChannel:
+    """Unitary exp(-i v.J) as a one-operator channel, from one exp_hermitian
+    of H = v_x J_x + v_y J_y + v_z J_z."""
+    vx, vy, vz = v
+    h = (
+        vx * collective_spin("X", n).matrix
+        + vy * collective_spin("Y", n).matrix
+        + vz * collective_spin("Z", n).matrix
+    )
+    u = exp_hermitian(LinearOperator((2,) * n, (2,) * n, h), 1.0)
+    return KrausChannel((2,) * n, (("rot", u.matrix),))
+
+
+def rotation_loop(wb: np.ndarray, rotations: int, seed: int) -> tuple[float, float]:
+    """(max_rotation_leakage, max_logical_block_deviation) of `qecdesk
+    noiseless` on the isometry wb, one seeded rotation channel at a time."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    max_leak = 0.0
+    max_block_dev = 0.0
+    for _ in range(rotations):
+        v = tuple(rng.normal(scale=2.0, size=3))
+        u = collective_rotation(v).operator("rot")
+        sub = wb.conj().T @ u @ wb
+        leak = float(np.abs(u @ wb - wb @ sub).max())
+        # each (syndrome, syndrome') block must be lambda I on the logical qubit
+        max_block_dev = max(max_block_dev, kl_residual(sub.reshape(2, 2, 2, 2))[1])
+        max_leak = max(max_leak, leak)
+    return max_leak, max_block_dev

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_density, rand_state, rand_unitary
+import oracles
 from oracles import (
     flat_apply_matrix,
     flat_entanglement_fidelity,
@@ -32,6 +33,7 @@ from qecdesk.channels import (
     channel_from_unitary,
     clifford_twirl,
     collective_rotation,
+    collective_rotations,
     collective_spin,
     cyclic_shift,
     depolarizing,
@@ -183,6 +185,27 @@ def test_collective_rotation_is_unitary_and_symmetric():
         # commutes with the total-spin operators' Casimir
         j2 = sum(collective_spin(a).matrix @ collective_spin(a).matrix for a in "XYZ")
         assert np.allclose(u @ j2, j2 @ u, atol=1e-9)
+
+
+def test_collective_rotations_match_one_exponential_per_row():
+    """The stack is the per-row exp_hermitian of sum_a v_a J_a, bit for bit,
+    and collective_rotation is its one-row case."""
+    vs = np.random.default_rng(14).normal(scale=2.0, size=(200, 3))
+    stack = collective_rotations(vs)
+    assert stack.shape == (200, 8, 8)
+    for v, u in zip(vs, stack):
+        (_, want), = oracles.collective_rotation(tuple(v)).ops
+        assert np.array_equal(u, want)
+        assert np.array_equal(collective_rotation(tuple(v)).operator("rot"), want)
+    assert collective_rotations(np.empty((0, 3))).shape == (0, 8, 8)
+
+
+def test_collective_rotations_refuse_nan_and_bad_shapes():
+    with pytest.raises(ValueError, match="operator is not Hermitian"):
+        collective_rotations([[0.1, 0.2, 0.3], [np.nan, 0.0, 0.0]])
+    for bad in ([0.1, 0.2, 0.3], [[0.1, 0.2]], [[0.1, 0.2, 0.3, 0.4]]):
+        with pytest.raises(ValueError, match=r"need shape \(R, 3\)"):
+            collective_rotations(bad)
 
 
 def test_channel_from_unitary_completeness():

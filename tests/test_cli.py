@@ -7,6 +7,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 from fractions import Fraction
 
@@ -423,6 +424,18 @@ def test_bad_input_tokens_name_the_flag(capsys):
         assert f"--input {token} for a code of dimension 2" in captured.err
 
 
+def test_boolean_input_amplitudes_are_refused(capsys):
+    # numpy read true and false as 1.0 and 0.0, so both ran as |0>
+    for token in ("[true, false]", "[[true, 0], [false, 0]]"):
+        assert main(["simulate", "--code", "repetition3",
+                     "--channel", "independent n=3 bitflip p=0.25",
+                     f"--input={token}"]) == USAGE_EXIT, token
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--input {token} for a code of dimension 2" in captured.err
+        assert "not true or false" in captured.err
+
+
 def test_non_finite_numbers_are_refused(capsys):
     assert main(["simulate", "--code", "repetition3",
                  "--channel", "independent n=3 bitflip p=0.25",
@@ -619,6 +632,100 @@ def test_cli_builds_no_recovery_channel(capsys, monkeypatch):
                                    "independent n=5 bitflip p=0.2", "--input", "1",
                                    "--trials", "1000", "--seed", "3"])
     assert code == 0 and data["trials"] == 1000 and len(calls) == 5
+
+
+def test_check_decoder_block_needs_no_decoder(capsys, monkeypatch):
+    import qecdesk.analysis
+
+    def refuse(*args):
+        raise AssertionError("check built the decoder")
+
+    monkeypatch.setattr(qecdesk.analysis, "decoder_identification", refuse)
+    code, data = run_json(capsys, ["check", "--code", "fivequbit", "--errors", "weight1"])
+    assert code == 0
+    assert data["decoder"] == {"syndrome_dim": 16, "logical_dim": 2, "recovery_ops": 16}
+
+
+STEANE7 = "IIIXXXX\nIXXIIXX\nXIXIXIX\nIIIZZZZ\nIZZIIZZ\nZIZIZIZ\n"
+SHOR9 = ("ZZIIIIIII\nIZZIIIIII\nIIIZZIIII\nIIIIZZIII\nIIIIIIZZI\nIIIIIIIZZ\n"
+         "XXXXXXIII\nIIIXXXXXX\n")
+
+
+def test_check_decoder_block_is_the_decoder_identifications(monkeypatch, tmp_path):
+    """The block read off lambda's rank and the code equals the one of
+    decoder_identification's W on every correctable set: weightN from 0 up
+    to the first set that is not correctable (each larger weight holds that
+    set, so it is not correctable either, and prints no block), and three
+    explicit sets, one of them with a repeated error."""
+    import qecdesk.analysis
+    import qecdesk.cli
+
+    kernel = qecdesk.analysis.correctable_quantum
+    verdicts = []
+    payload = {}
+    monkeypatch.setattr(qecdesk.analysis, "correctable_quantum",
+                        lambda code, errors: verdicts.append(kernel(code, errors)) or verdicts[-1])
+    monkeypatch.setattr(qecdesk.cli, "_emit", lambda out, args: payload.update(out))
+    specs = ["repetition3", "cyclic7", "threespin", "fivequbit", "trivial2"]
+    for name, text in (("steane7.txt", STEANE7), ("shor9.txt", SHOR9),
+                       ("repetition10.txt", REPETITION10)):
+        (tmp_path / name).write_text(text)
+        specs.append(str(tmp_path / name))
+
+    def compare(code_spec, errors) -> int:
+        payload.clear()
+        verdicts.clear()
+        exit_code = main(["check", "--code", code_spec, "--errors", errors])
+        if exit_code == 0:
+            ident = qecdesk.analysis.decoder_identification(
+                qecdesk.cli._load_code(code_spec).subspace, verdicts[-1])
+            assert payload["decoder"] == {
+                "syndrome_dim": ident.syndrome_dim, "logical_dim": ident.logical_dim,
+                "recovery_ops": ident.syndrome_dim + (not ident.is_complete())}, (code_spec, errors)
+        else:
+            assert "decoder" not in payload
+        return exit_code
+
+    blocks = 0
+    for code_spec in specs:
+        for w in range(11):
+            exit_code = compare(code_spec, f"weight{w}")
+            blocks += exit_code == 0
+            if exit_code != 0:
+                break
+        for errors in ("X1,X2", "X1,X1", "I,X1,Z1"):
+            blocks += compare(code_spec, errors) == 0
+    assert blocks == 27  # the correctable sets, each compared once
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_noiseless_stacks_match_the_per_rotation_loop(monkeypatch, seed):
+    """The maxima over stacks of rotations are the per-rotation channel
+    loop's, exactly, at and around the stack size."""
+    from oracles import rotation_loop
+    from qecdesk.analysis import build_noiseless_qubit
+    import qecdesk.cli
+
+    payload = {}
+    monkeypatch.setattr(qecdesk.cli, "_emit", lambda out, args: payload.update(out))
+    wb = build_noiseless_qubit().isometry.matrix
+    for rotations in (0, 1, 63, 64, 65, 129, 1025):
+        assert main(["noiseless", "--rotations", str(rotations), "--seed", str(seed)]) == 0
+        assert (payload["max_rotation_leakage"], payload["max_logical_block_deviation"]) \
+            == rotation_loop(wb, rotations, seed), rotations
+
+
+def test_noiseless_memory_is_one_stack_of_rotations(capsys):
+    """20,000 rotations take the memory of one stack, not of their count."""
+    assert main(["noiseless", "--rotations", "100"]) == 0  # imports and cached spins
+    tracemalloc.start()
+    try:
+        assert main(["noiseless", "--rotations", "20000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 2 ** 20, peak
 
 
 def test_out_writes_file(capsys, tmp_path):

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import rand_state
-from oracles import projector_codespace
+from oracles import LeakageDetected, logical_matrix, projector_codespace, syndrome_reset
 from qecdesk.analysis import build_noiseless_qubit
 from qecdesk.channels import depolarizing, identity_channel, tensor_channels
 from qecdesk.codes import (
     CodeSubspace,
     FIVE_QUBIT_GENERATORS,
-    LeakageDetected,
     SubsystemIdentification,
     builtin_code,
     cyclic7,
@@ -26,7 +25,6 @@ from qecdesk.codes import (
     repetition_failure_probability,
     repetition_quantum,
     stabilizer_codespace,
-    syndrome_reset,
     three_spin_noiseless,
     trivial_two_qubit,
 )
@@ -116,7 +114,7 @@ def test_repetition_flip_acts_on_syndrome_alone():
     enc = ident.encode(logical)
     x1 = np.kron(np.array([[0, 1], [1, 0]]), np.eye(4))  # flip first qubit
     rho = np.outer(x1 @ enc.amplitudes, (x1 @ enc.amplitudes).conj())
-    rho_l, leak = ident.logical_matrix(rho)
+    rho_l, leak = logical_matrix(ident, rho)
     assert leak < 1e-12
     assert np.allclose(rho_l, np.outer(logical.amplitudes, logical.amplitudes.conj()),
                        atol=1e-12)
@@ -163,7 +161,7 @@ def test_cyclic7_leakage_raises():
     with pytest.raises(LeakageDetected) as err:
         syndrome_reset(ident, rho)
     assert err.value.mass == pytest.approx(1.0)
-    _, leak = ident.logical_matrix(rho.matrix)
+    _, leak = logical_matrix(ident, rho.matrix)
     assert leak == pytest.approx(1.0)
 
 
@@ -174,7 +172,7 @@ def test_trivial_two_qubit_ignores_first_factor():
     enc = ident.encode(logical)
     noisy = tensor_channels(depolarizing(0.7), identity_channel((2,)))
     out = noisy.apply_matrix(np.outer(enc.amplitudes, enc.amplitudes.conj()))
-    rho_l, leak = ident.logical_matrix(out)
+    rho_l, leak = logical_matrix(ident, out)
     assert leak < 1e-12
     assert np.allclose(rho_l, np.outer(logical.amplitudes, logical.amplitudes.conj()),
                        atol=1e-12)

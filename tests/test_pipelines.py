@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_state, rand_unitary
-from oracles import branch_tables, syndrome_loop_run
+from oracles import branch_tables, logical_matrix, syndrome_loop_run, syndrome_reset
 from qecdesk.analysis import (
     correctable_quantum,
     decoder_identification,
@@ -36,7 +36,6 @@ from qecdesk.codes import (
     parse_code_text,
     repetition_quantum,
     stabilizer_codespace,
-    syndrome_reset,
     three_spin_noiseless,
     trivial_two_qubit,
 )
@@ -466,11 +465,11 @@ def test_reset_between_rounds_beats_no_reset():
     # two rounds with a syndrome reset in between
     mid = syndrome_reset(rep, DensityOperator((2, 2, 2), ch.apply_matrix(rho0)))
     two_reset = ch.apply_matrix(mid.matrix)
-    rho_l, _ = rep.logical_matrix(two_reset)
+    rho_l, _ = logical_matrix(rep, two_reset)
     err_reset = 1.0 - rho_l[0, 0].real
 
     # two rounds back to back
-    rho_l2, _ = rep.logical_matrix(ch.apply_matrix(ch.apply_matrix(rho0)))
+    rho_l2, _ = logical_matrix(rep, ch.apply_matrix(ch.apply_matrix(rho0)))
     err_plain = 1.0 - rho_l2[0, 0].real
 
     eps = 3 * p**2 - 2 * p**3
