@@ -26,6 +26,7 @@ from .gf2_symplectic import (
     _word_arrays,
 )
 from .hilbert import (
+    _CHUNK_BYTES,
     ATOL_ALGEBRA,
     ATOL_EIG,
     LinearOperator,
@@ -81,11 +82,6 @@ def correctable_classical(code: ClassicalCode, errs: list[dict]) -> ClassicalCor
 
 
 # --- quantum ------------------------------------------------------------------
-
-# bytes of one chunk of a batched row gather: freed arrays of several MiB make
-# glibc raise its mmap threshold and keep the heap resident
-_CHUNK_BYTES = 2 ** 20
-
 
 def _as_matrix(e) -> np.ndarray:
     if isinstance(e, LinearOperator):

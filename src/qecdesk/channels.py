@@ -5,8 +5,8 @@ completeness relation; the labels name orthogonal environment outcomes, which
 is what makes coarse per-label error bounds and branch sampling meaningful.
 
 The operators are stored in read-only stacked blocks of shape (c, d, d), each
-of at most 2**16 complex entries (1 MiB), or one operator when a single
-operator is larger; `ops` is the sequence of (label, view) pairs over them.
+of at most _CHUNK_BYTES (1 MiB), or one operator when a single operator is
+larger; `ops` is the sequence of (label, view) pairs over them.
 Consumers with a small per-operator body contract a whole block at a time: a
 pure input goes through as branch vectors A_k psi, one GEMV per block.
 
@@ -19,7 +19,7 @@ column) axis pair, and its caps and labels are checked as for its flat form.
 Every channel counts, names and finds its operators from one label list per
 flat factor (see _Operators).  Trace preservation is checked once, against
 sum A^dag A, by one rule: explicit operators are stacked and their sum taken
-with one real SYRK per block (_gram), and a built channel brings its sum from
+as F^dag F per block (_gram), and a built channel brings its sum from
 its structure and builds its blocks on first read.  A product folds its
 factors' kept sums, since sum (A (x) B)^dag (A (x) B) = (sum A^dag A) (x)
 (sum B^dag B); a synthesized recovery folds its syndrome blocks and code basis
@@ -39,6 +39,7 @@ import numpy as np
 
 from .gf2_symplectic import PauliProduct
 from .hilbert import (
+    _CHUNK_BYTES,
     ATOL_ALGEBRA,
     MAX_KRAUS_OPS,  # noqa: F401  (read as qecdesk.channels.MAX_KRAUS_OPS)
     DensityOperator,
@@ -51,32 +52,18 @@ from .hilbert import (
     tensor,
 )
 
-# complex entries per stacked operator block and per temporary that walks one:
-# freed arrays of several MiB make glibc raise its mmap threshold and keep the
-# heap, which then stays resident long after a large product is gone
-_BLOCK_ENTRIES = 2 ** 16
-
 _SIGMA = {u: pauli(u).matrix for u in "IXYZ"}
 
 
 def _block_len(d: int) -> int:
     """How many d x d complex matrices fit in one block (at least one)."""
-    return max(1, _BLOCK_ENTRIES // (d * d))
+    return max(1, _CHUNK_BYTES // (16 * d * d))
 
 
 def _gram(blocks, d: int) -> np.ndarray:
-    """sum of A^dag A over every operator in the (c, d, d) blocks.
-
-    One real symmetric product per block: the stacked rows F = X + iY read
-    as floats z = [x0 y0 x1 y1 ...], and z^T z (a SYRK, no conj() copy)
-    holds X^T X, X^T Y, Y^T X and Y^T Y interleaved, so that
-    F^dag F = X^T X + Y^T Y + i (X^T Y - Y^T X).
-    """
-    acc = np.zeros((2 * d, 2 * d))
-    for blk in blocks:
-        z = blk.reshape(-1, d).view(float)
-        acc += z.T @ z
-    return (acc[0::2, 0::2] + acc[1::2, 1::2]) + 1j * (acc[0::2, 1::2] - acc[1::2, 0::2])
+    """sum of A^dag A over every operator in the (c, d, d) blocks: F^dag F
+    of each block's (c*d, d) stack of rows F."""
+    return sum(f.conj().T @ f for f in (blk.reshape(-1, d) for blk in blocks))
 
 
 def _known_labels(bad_labels, ops: _Operators) -> frozenset[str]:

@@ -202,26 +202,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_mindist(args) -> int:
-    if os.path.exists(args.stabilizer):
-        with open(args.stabilizer) as fh:
-            stab = codes.parse_stabilizer_text(fh.read())
-        name = os.path.basename(args.stabilizer)
-    else:
-        definition = codes.builtin_code(args.stabilizer)
-        if definition.stabilizers is None:
-            raise ValueError(f"code {args.stabilizer!r} has no stabilizer generators")
-        stab = definition.stabilizers
-        name = args.stabilizer
+    definition = _load_code(args.stabilizer)
+    if definition.stabilizers is None:
+        raise ValueError(f"code {definition.name!r} has no stabilizer generators")
+    payload = {"code": definition.name, "alphabet": args.alphabet}
     try:
-        d = stab.min_distance(alphabet=args.alphabet, cap=args.cap)
-        payload = {"code": name, "alphabet": args.alphabet, "distance": d}
-        _emit(payload, args)
-        return 0
+        payload["distance"] = definition.stabilizers.min_distance(alphabet=args.alphabet,
+                                                                  cap=args.cap)
     except SearchCapExceeded as exc:
-        payload = {"code": name, "alphabet": args.alphabet,
-                   "distance": None, "exceeds_cap": exc.cap}
-        _emit(payload, args)
-        return 0
+        payload.update(distance=None, exceeds_cap=exc.cap)
+    _emit(payload, args)
+    return 0
 
 
 def _weight1_decoder(definition: codes.CodeDefinition):
@@ -235,8 +226,8 @@ def _weight1_decoder(definition: codes.CodeDefinition):
 
 def cmd_simulate(args) -> int:
     definition = _load_code(args.code)
+    code = definition.subspace  # a bad code is refused before a bad channel
     channel = channels.parse_channel_spec(args.channel)
-    code = definition.subspace
     decoder = definition.identification or _weight1_decoder(definition)[0]
     state = _parse_input(args.input, code.dim)
     named = dict(scenario=definition.name, input_desc=_input_desc(args.input))

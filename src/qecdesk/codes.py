@@ -332,10 +332,23 @@ def five_qubit() -> tuple[StabilizerGeneratorSet, CodeSubspace]:
 
 @dataclass(frozen=True, eq=False)
 class CodeDefinition:
+    """A code as its source gives it: stabilizer generators, an
+    identification or an explicit basis (columns), or more than one of them."""
+
     name: str
-    subspace: CodeSubspace
     stabilizers: StabilizerGeneratorSet | None = None
     identification: SubsystemIdentification | None = None
+    basis: LinearOperator | None = None
+
+    @functools.cached_property
+    def subspace(self) -> CodeSubspace:
+        """The codespace, built once on first read: from the basis, else the
+        identification's own code, else the generators' joint +1 eigenspace."""
+        if self.basis is not None:
+            return CodeSubspace(self.basis)
+        if self.identification is not None:
+            return self.identification.code_subspace
+        return stabilizer_codespace(self.stabilizers)
 
 
 def _infer_dims(length: int) -> tuple[int, ...]:
@@ -363,22 +376,13 @@ def _code_sections(text: str) -> tuple[str, list[str]]:
     return "stabilizer", lines
 
 
-def parse_stabilizer_text(text: str) -> StabilizerGeneratorSet:
-    """The generators of a stabilizer code file, without building its codespace."""
-    kind, body = _code_sections(text)
-    if kind != "stabilizer":
-        raise ValueError("code definition gives a basis, not stabilizer generators")
-    return StabilizerGeneratorSet.from_strings(body)
-
-
 def parse_code_text(text: str, name: str = "inline") -> CodeDefinition:
     """Parse a code definition: Pauli words one per line, optionally under a
     'stabilizer:' header, or 'basis:' plus one JSON amplitude array (pairs
-    [re, im]) per line."""
+    [re, im]) per line.  The codespace is built on first read of `subspace`."""
     kind, body = _code_sections(text)
     if kind == "stabilizer":
-        stab = StabilizerGeneratorSet.from_strings(body)
-        return CodeDefinition(name, stabilizer_codespace(stab), stabilizers=stab)
+        return CodeDefinition(name, stabilizers=StabilizerGeneratorSet.from_strings(body))
     if not body:
         raise ValueError("'basis:' block has no vectors")
     vecs = []
@@ -393,26 +397,19 @@ def parse_code_text(text: str, name: str = "inline") -> CodeDefinition:
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"basis vector {i} ({line[:40]!r}): {exc}") from None
         vecs.append(vec)
-    c = LinearOperator((len(vecs),), _infer_dims(len(vecs[0])), np.column_stack(vecs))
-    return CodeDefinition(name, CodeSubspace(c))
+    return CodeDefinition(name, basis=LinearOperator(
+        (len(vecs),), _infer_dims(len(vecs[0])), np.column_stack(vecs)))
 
 
 def builtin_code(name: str) -> CodeDefinition:
     """Named codes usable from the command line."""
     if name == "repetition3":
-        ident = repetition_quantum()
         stab = StabilizerGeneratorSet.from_strings(["ZZI", "ZIZ"])
-        return CodeDefinition(name, ident.code_subspace, stab, ident)
-    if name == "cyclic7":
-        ident = cyclic7()
-        return CodeDefinition(name, ident.code_subspace, None, ident)
-    if name == "threespin":
-        ident = three_spin_noiseless()
-        return CodeDefinition(name, ident.code_subspace, None, ident)
+        return CodeDefinition(name, stab, repetition_quantum())
     if name == "fivequbit":
-        stab, space = five_qubit()
-        return CodeDefinition(name, space, stab, None)
-    if name == "trivial2":
-        ident = trivial_two_qubit()
-        return CodeDefinition(name, ident.code_subspace, None, ident)
+        return CodeDefinition(name, StabilizerGeneratorSet.from_strings(
+            list(FIVE_QUBIT_GENERATORS)))
+    named = {"cyclic7": cyclic7, "threespin": three_spin_noiseless, "trivial2": trivial_two_qubit}
+    if name in named:
+        return CodeDefinition(name, identification=named[name]())
     raise ValueError(f"unknown code {name!r}")

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _BLOCK_ENTRIES, KrausChannel, _known_labels, _philox_blocks
-from .hilbert import StateVector
+from .channels import KrausChannel, _known_labels, _philox_blocks
+from .hilbert import _CHUNK_BYTES, StateVector
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +86,7 @@ def average_error_monte_carlo(ch: KrausChannel, trials: int, seed: int = 0) -> M
         raise ValueError("need at least one trial")
     d = ch.dim
     flats = [blk.reshape(len(blk), d * d) for blk in ch.blocks]
-    chunk = max(1, _BLOCK_ENTRIES // max(d * d, len(flats[0])))
+    chunk = max(1, _CHUNK_BYTES // (16 * max(d * d, len(flats[0]))))
     done, mean, m2 = 0, 0.0, 0.0
     for g, count in _philox_blocks(seed, trials, _MC_BLOCK):
         fid = np.zeros(count)

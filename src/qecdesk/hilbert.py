@@ -31,6 +31,10 @@ MAX_KRAUS_OPS = 4096  # operators of one channel
 MAX_KRAUS_BYTES = 2**30
 # bits of one exact concatenation level (p = 1e-3, C = 100: 18 levels, 2.5 Mbit)
 MAX_CONCAT_BITS = 2**22
+# bytes of one stacked operator block or one chunk of a batched temporary:
+# freed arrays of several MiB make glibc raise its mmap threshold and keep the
+# heap, which then stays resident long after a large product is gone
+_CHUNK_BYTES = 2**20
 _CAPS = {"dim": ("MAX_TOTAL_DIM", "dimension"), "ops": ("MAX_KRAUS_OPS", "operator count"),
          "nbytes": ("MAX_KRAUS_BYTES", "byte count"), "bits": ("MAX_CONCAT_BITS", "bit count")}
 

@@ -691,7 +691,7 @@ def test_depolarizing_product_builds_no_labels_or_blocks():
     assert results["explicit empty bad_labels"] == (0.0, 0.0)
 
 
-def test_real_view_gram_matches_complex_oracle():
+def test_gram_matches_complex_oracle():
     rng = np.random.default_rng(43)
     # random stacks laid out as a channel's blocks, several blocks and a short last one
     for d, counts in ((2, (5,)), (16, (256, 256, 17)), (64, (16, 16, 16, 3)), (512, (1, 1))):

@@ -130,6 +130,33 @@ def test_mindist_from_file(capsys, tmp_path):
     assert data["distance"] == 1
 
 
+def test_codespace_is_built_once_on_first_read(capsys, monkeypatch):
+    import qecdesk.codes
+
+    calls = []
+    build = qecdesk.codes.stabilizer_codespace
+
+    def counted(stab):
+        calls.append(stab)
+        return build(stab)
+
+    monkeypatch.setattr(qecdesk.codes, "stabilizer_codespace", counted)
+    code, data = run_json(capsys, ["mindist", "--stabilizer", "fivequbit"])
+    assert (code, data["distance"], calls) == (0, 3, [])
+    definition = qecdesk.codes.parse_code_text("\n".join(qecdesk.codes.FIVE_QUBIT_GENERATORS))
+    assert calls == []
+    assert all(definition.subspace is definition.subspace for _ in range(3))
+    assert calls == [definition.stabilizers] and definition.subspace.dim == 2
+
+
+def test_simulate_refuses_a_bad_code_before_a_bad_channel(capsys, tmp_path):
+    path = tmp_path / "rep12.txt"
+    path.write_text("".join("I" * i + "ZZ" + "I" * (10 - i) + "\n" for i in range(11)))
+    assert main(["simulate", "--code", str(path), "--channel", "bogus"]) == USAGE_EXIT
+    assert capsys.readouterr().err == ("qecdesk: error: 12-qubit codespace: dimension 4096 "
+                                       "exceeds cap MAX_TOTAL_DIM=1024\n")
+
+
 def test_mindist_header_less_file_builds_no_codespace(capsys, tmp_path, monkeypatch):
     import qecdesk.codes
 

@@ -11,6 +11,7 @@ from conftest import rand_state
 from oracles import LeakageDetected, logical_matrix, projector_codespace, syndrome_reset
 from qecdesk.analysis import build_noiseless_qubit
 from qecdesk.channels import depolarizing, identity_channel, tensor_channels
+from qecdesk.cli import USAGE_EXIT, main
 from qecdesk.codes import (
     CodeSubspace,
     FIVE_QUBIT_GENERATORS,
@@ -20,7 +21,6 @@ from qecdesk.codes import (
     five_qubit,
     parity_identification,
     parse_code_text,
-    parse_stabilizer_text,
     repetition_classical,
     repetition_failure_probability,
     repetition_quantum,
@@ -351,17 +351,20 @@ def test_parse_code_text_header_is_optional():
         parse_code_text("basis:\n# nothing here\n")
 
 
-def test_parse_stabilizer_text_skips_the_codespace():
+def test_parse_code_text_skips_the_codespace(tmp_path, capsys):
     # 12 qubits are past the dense dimension cap; only the generators are read
     text = "\n".join("I" * i + "ZZ" + "I" * (10 - i) for i in range(11))
-    stab = parse_stabilizer_text(text)
-    assert stab.n == 12 and stab.rank() == 11
+    code = parse_code_text(text)
+    assert code.stabilizers.n == 12 and code.stabilizers.rank() == 11
     # building the codespace is refused before the 4096 x 4096 allocation
     with pytest.raises(ValueError, match="12-qubit codespace: dimension 4096 "
                                          "exceeds cap MAX_TOTAL_DIM=1024"):
-        parse_code_text(text)
-    with pytest.raises(ValueError):
-        parse_stabilizer_text("basis:\n[[1, 0], [0, 0]]")
+        code.subspace
+    path = tmp_path / "basis.txt"
+    path.write_text("basis:\n[[1, 0], [0, 0]]")
+    assert parse_code_text(path.read_text()).stabilizers is None
+    assert main(["mindist", "--stabilizer", str(path)]) == USAGE_EXIT
+    assert "code 'basis.txt' has no stabilizer generators" in capsys.readouterr().err
 
 
 def test_parse_code_text_basis():

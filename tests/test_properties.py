@@ -1,19 +1,25 @@
-"""Property tests: the parsers of user text return a value or raise ValueError.
+"""Property tests: the parsers of user text return a value or raise ValueError,
+and random stabilizer codes agree with the dense oracles.
 
 The command line turns a ValueError into a usage error (exit 64) naming the
 problem; any other exception would end in a traceback, so it is a bug.
 """
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import projector_codespace
+from qecdesk.analysis import min_distance_quantum
 from qecdesk.channels import parse_channel_spec
-from qecdesk.cli import _parse_errors, _parse_input
-from qecdesk.codes import builtin_code, parse_code_text
+from qecdesk.cli import _load_code, _parse_errors, _parse_input, main
+from qecdesk.codes import FIVE_QUBIT_GENERATORS, builtin_code, parse_code_text
+from qecdesk.gf2_symplectic import PauliProduct, SearchCapExceeded, _in_span, _rref
 
 KINDS = ("depolarizing", "bitflip", "gaussian7", "collective", "independent")
 KEYS = ("p", "K", "n", "vx", "vy", "vz", "q", "")
@@ -96,12 +102,15 @@ code_text = st.builds(
 @example("basis:\n[[1e200,0],[1e200,0]]\n[[1e200,0],[-1e200,0]]")  # Gram overflows to NaN
 @example("basis:\n[[" + "9" * 400 + ", 0]]")  # an integer past float range
 @example("basis:\n" + "[" * 100000)  # nested past the recursion limit
+@example("XX\nZZ\nYY")  # inconsistent: XX ZZ = -YY, refused on first read of the codespace
+@example("basis:\n[[1,0],[0,0]]\n[[1,0],[0,0]]")  # not orthonormal, refused on first read
 def test_code_text_returns_or_raises_value_error(text):
+    # the codespace is built on first read, so reading it is part of parsing
     try:
-        code = parse_code_text(text)
+        basis = parse_code_text(text).subspace.basis_matrix()
     except ValueError:
         return
-    assert np.isfinite(code.subspace.basis_matrix()).all()
+    assert np.isfinite(basis).all()
 
 
 CODES = {name: builtin_code(name)
@@ -125,3 +134,39 @@ error_spec = st.one_of(
 @example("fivequbit", "Z\u00b2")
 def test_error_spec_returns_or_raises_value_error(code, spec):
     returns_or_refuses(_parse_errors, spec, CODES[code])
+
+
+@st.composite
+def commuting_generators(draw):
+    """Commuting, independent phase-free words on 1-6 qubits: symplectic
+    integers kept by rejection, so every set is a consistent stabilizer."""
+    n = draw(st.integers(1, 6))
+    words, pivots, reduced = [], [], []
+    for v in draw(st.lists(st.integers(1, 4 ** n - 1), min_size=1, max_size=2 * n)):
+        word = PauliProduct(n, v >> n, v & ((1 << n) - 1))
+        if all(word.commutes(w) for w in words) and not _in_span(pivots, reduced, v):
+            words.append(word)
+            pivots, reduced = _rref([w.symplectic_int() for w in words], 2 * n)
+    return words
+
+
+@settings(deadline=None, max_examples=80)
+@given(commuting_generators())
+@example([PauliProduct.from_string(w) for w in FIVE_QUBIT_GENERATORS])  # distance 3
+def test_stabilizer_file_matches_the_dense_oracles(words):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "code.txt"), os.path.join(tmp, "out.json")
+        with open(path, "w") as fh:
+            fh.write("".join(f"{w}\n" for w in words))
+        definition = _load_code(path)
+        assert definition.stabilizers.generators == tuple(words)
+        space = definition.subspace
+        assert np.array_equal(space.basis_matrix(),
+                              projector_codespace(definition.stabilizers).basis_matrix())
+        assert main(["mindist", "--stabilizer", path, "--out", out]) == 0
+        with open(out) as fh:
+            data = json.load(fh)
+    try:
+        assert data["distance"] == min_distance_quantum(space)
+    except SearchCapExceeded as exc:
+        assert (data["distance"], data["exceeds_cap"]) == (None, exc.cap)
