@@ -223,13 +223,15 @@ def decoder_identification(code: CodeSubspace,
     D^(-1/2) yields operators D_k whose images of the code are orthogonal
     syndrome blocks W_k = D_k C; W maps |k>|psi_m> to D_k applied to the m-th
     code vector, from the verdict's blocks E_i C.  Error directions with zero
-    eigenvalue never occur on code states and are dropped.
+    eigenvalue never occur on code states and are dropped: eigh sorts the
+    eigenvalues ascending, so W keeps the last verdict.rank of them, and has
+    verdict.rank syndrome values by construction.
     """
     if not verdict.correctable:
         raise ValueError("error set is not correctable on this code")
     lam = (verdict.lambda_matrix + verdict.lambda_matrix.conj().T) / 2.0
     evals, vecs = np.linalg.eigh(lam)
-    keep = evals > 1e-9 * max(float(evals.max()), 1e-30)
+    keep = slice(len(evals) - verdict.rank, None)
     order = np.argsort(-evals[keep])
     evals_k = evals[keep][order]
     vecs_k = vecs[:, keep][:, order]

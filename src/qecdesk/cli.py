@@ -190,7 +190,8 @@ def cmd_check(args) -> int:
                **verdict.to_json()}
     if verdict.correctable:
         # one syndrome block, a copy of the code, per nonzero eigenvalue of
-        # lambda; the recovery adds a "fail" operator if the blocks leave room
+        # lambda: decoder_identification keeps verdict.rank of them.  The
+        # recovery adds a "fail" operator if the blocks leave room
         rank, k = verdict.rank, definition.subspace.dim
         payload["decoder"] = {
             "syndrome_dim": rank,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2_symplectic import PauliProduct, StabilizerGeneratorSet, _nullspace
+from .gf2_symplectic import StabilizerGeneratorSet
 from .hilbert import (
     ATOL_ALGEBRA,
     LinearOperator,
@@ -274,32 +274,24 @@ def stabilizer_codespace(stab: StabilizerGeneratorSet) -> CodeSubspace:
     from its k = 2^(n-rank) pivot columns; no d x d array is formed.
 
     diag(P) needs only the Z-type group elements, the products of generators
-    whose X parts cancel (a GF(2) null space): P_jj is a power of two where
-    each of their signs is +1, else 0, and its sum is the trace.  Each pivot
-    is the first j of largest residual diagonal P_jj - sum_i |b_i[j]|^2; P e_j
-    comes from c <- (c + A c)/2, each A c a signed row gather, then loses the
-    earlier b_i in order and is normalized.  P's entries are exact dyadic
-    numbers, so this is the pivoted Gram-Schmidt basis of P's columns bit for
-    bit.  Inconsistent generators (trace zero) and rank mismatches raise.
+    whose X parts cancel, which the set reads off its echelon (`z_type`):
+    P_jj is a power of two where each of their signs is +1, else 0, and its
+    sum is the trace.  Each pivot is the first j of largest residual diagonal
+    P_jj - sum_i |b_i[j]|^2; P e_j comes from c <- (c + A c)/2, each A c a
+    signed row gather, then loses the earlier b_i in order and is normalized.
+    P's entries are exact dyadic numbers, so this is the pivoted Gram-Schmidt
+    basis of P's columns bit for bit.  A rank mismatch raises; the set itself
+    refuses inconsistent generators.
     """
     n = stab.n
     _check_dims((2,) * n, f"{n}-qubit codespace")
     d = 2 ** n
     gens = stab.generators
-    # row b: which generators have X on bit b; a null vector names a Z-type product
-    rows = [sum((g.x_bits >> b & 1) << i for i, g in enumerate(gens)) for b in range(n)]
-    null = _nullspace(rows, len(gens))
     keep = np.ones(d, dtype=bool)
-    for v in null:
-        z = functools.reduce(PauliProduct.multiply, [g for i, g in enumerate(gens) if v >> i & 1])
+    for z in stab.z_type:
         keep &= z.index_map()[1].real > 0
-    diag = keep * 2.0 ** (len(null) - len(gens))
+    diag = keep * 2.0 ** (len(stab.z_type) - len(gens))
     expected = 2 ** (n - stab.rank())
-    tr = float(diag.sum())
-    if tr < 0.5:
-        raise ValueError("generators are inconsistent: projector has trace 0")
-    if abs(tr - expected) > 1e-6:
-        raise ValueError(f"projector trace {tr} != expected dimension {expected}")
     maps = [g.index_map() for g in gens]
     basis = []
     for _ in range(expected):

@@ -18,13 +18,15 @@ arithmetic here is integer-exact, including phases.  A word acts on a vector
 as a signed row gather (`index_map`), so neither the analysis nor the
 codespace build needs its dense matrix.
 
-A set of words is one array form: boolean (m, n) X and Z matrices, qubit j
-in column j (`_word_arrays`, in chunks of bounded size).  Commutation with
-every generator is then one integer product mod 2, the syndromes
-X Gz^T + Z Gx^T, and stabilizer membership a reduction of the rows against
-the generators' echelon form.  Their bit masks (`_masks`) give all their
-row gathers at once (`_apply_words`); popcounts come from a byte table, so
-no numpy 2 function is needed.
+A set of words is one array form: boolean rows [X | Z], qubit j in columns
+j and n + j (`_word_arrays` yields them in chunks of bounded size).  A
+generator set is its rows and one GF(2) elimination of them (`_rref`, the
+only one here): commutation with every generator is one integer product mod
+2, the syndromes X Gz^T + Z Gx^T; membership is a reduction of the rows
+against the echelon; the Z-type subgroup, the relations and the centralizer
+are read off echelons too.  Bit masks (`_masks`) give all the row gathers of
+a set at once (`_apply_words`); popcounts come from a byte table, so no
+numpy 2 function is needed.
 """
 
 from __future__ import annotations
@@ -115,10 +117,6 @@ class PauliProduct:
              + 2 * (self.z_bits & other.x_bits).bit_count())
         return PauliProduct(self.n, x, z, k)
 
-    def symplectic_int(self) -> int:
-        """(x | z) as one int: x in the high n bits, z in the low n bits."""
-        return self.x_bits << self.n | self.z_bits
-
     def commutes(self, other: "PauliProduct") -> bool:
         if other.n != self.n:
             raise ValueError("qubit counts differ")
@@ -201,112 +199,123 @@ def single_qubit_word(n: int, j: int, letter: str) -> PauliProduct:
     return _letters_word(n, (j,), letter)
 
 
-# --- bit-packed GF(2) elimination ------------------------------------------
+# --- GF(2) elimination on boolean rows --------------------------------------
 
 
-def _rref(rows: list[int], ncols: int):
-    """Reduced row echelon form; returns (pivot column list, reduced rows)."""
-    rows = [r for r in rows if r]
+def _word_rows(words, n: int) -> np.ndarray:
+    """[X | Z] of the words as boolean (m, 2n) rows, qubit j in columns j and
+    n + j; phases are dropped."""
+    text = "".join(f"{w.x_bits:0{n}b}{w.z_bits:0{n}b}" for w in words)
+    return (np.frombuffer(text.encode(), dtype=np.uint8) == ord("1")).reshape(-1, 2 * n)
+
+
+def _rref(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Reduced row echelon form of boolean rows over GF(2): (pivot columns,
+    the nonzero reduced rows), row i with its leading 1 in column pivots[i]."""
+    rows = rows.copy()
     pivots: list[int] = []
-    reduced: list[int] = []
-    for col in range(ncols):
-        bit = 1 << col
-        hit = next((i for i, r in enumerate(rows) if r & bit), None)
-        if hit is None:
-            continue
-        piv = rows.pop(hit)
-        reduced = [r ^ piv if r & bit else r for r in reduced]
-        rows = [r ^ piv if r & bit else r for r in rows]
-        reduced.append(piv)
-        pivots.append(col)
-        if not rows:
-            break
-    return pivots, reduced
-
-
-def _in_span(pivots: list[int], reduced: list[int], vec: int) -> bool:
-    for col, row in zip(pivots, reduced):
-        if vec & (1 << col):
-            vec ^= row
-    return vec == 0
-
-
-def _nullspace(rows: list[int], ncols: int) -> list[int]:
-    """Basis of {x : row . x = 0 for all rows}, bit-packed, deterministic."""
-    pivots, reduced = _rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for col, row in zip(pivots, reduced):
-            if row & (1 << free):
-                v |= 1 << col
-        basis.append(v)
-    return basis
+    for col in range(rows.shape[1]):
+        r = len(pivots)
+        hit = np.flatnonzero(rows[r:, col])
+        if hit.size:
+            rows[[r, r + hit[0]]] = rows[[r + hit[0], r]]
+            flip = rows[:, col].copy()
+            flip[r] = False
+            rows[flip] ^= rows[r]
+            pivots.append(col)
+    return pivots, rows[:len(pivots)]
 
 
 class StabilizerGeneratorSet:
-    """A commuting list of phase-free Pauli words, used as stabilizer generators."""
+    """A commuting list of phase-free Pauli words, used as stabilizer
+    generators, read as their boolean (r, 2n) rows [X | Z].
+
+    One elimination of [X | Z | I_r], X columns first, answers the group
+    questions.  Its rows with a pivot in [X | Z] are the echelon that words
+    reduce against.  Its rows with no X part generate the Z-type subgroup,
+    their I_r part naming the generators to multiply (`z_type`); with no Z
+    part either they are relations, products equal to +-I, and -I is refused.
+    """
 
     def __init__(self, generators: list[PauliProduct]):
         if not generators:
             raise ValueError("need at least one generator")
         n = generators[0].n
-        gens = []
         for g in generators:
             if g.n != n:
                 raise ValueError("generators act on different qubit counts")
             if g.phase_k != 0:
                 raise ValueError(f"generator {g} must carry phase +1")
-            gens.append(g)
-        for i, g in enumerate(gens):
-            for h in gens[i + 1:]:
-                if not g.commutes(h):
-                    raise ValueError(f"generators {g} and {h} anticommute")
         self.n = n
-        self.generators = tuple(gens)
-        self._pivots, self._reduced = _rref(
-            [g.symplectic_int() for g in gens], 2 * n
-        )
+        self.generators = gens = tuple(generators)
+        rows = _word_rows(gens, n)
+        self._zx = np.hstack([rows[:, n:], rows[:, :n]]).T.astype(np.uint8)
+        first, second = np.nonzero(np.triu(self._syndromes(rows), 1))
+        if first.size:
+            raise ValueError(f"generators {gens[first[0]]} and {gens[second[0]]} anticommute")
+        pivots, reduced = _rref(np.hstack([rows, np.eye(len(gens), dtype=bool)]))
+        pivots = np.array(pivots)
+        self._echelon = [(int(c), row) for c, row in zip(pivots, reduced[:, :2 * n]) if c < 2 * n]
+        self._z_choices = reduced[pivots >= n, 2 * n:]
+        for chosen in reduced[pivots >= 2 * n, 2 * n:]:
+            if self._product(chosen).phase_k:
+                named = ", ".join(map(str, itertools.compress(gens, chosen)))
+                raise ValueError(f"generators {named} multiply to -I: they stabilize no state")
 
     @classmethod
     def from_strings(cls, words: list[str]) -> "StabilizerGeneratorSet":
         return cls([PauliProduct.from_string(w) for w in words])
 
+    def _product(self, chosen) -> PauliProduct:
+        """The product of the generators that the boolean row `chosen` picks,
+        in order, phase kept."""
+        return functools.reduce(PauliProduct.multiply, itertools.compress(self.generators, chosen))
+
+    def _row(self, p: PauliProduct) -> np.ndarray:
+        if p.n != self.n:
+            raise ValueError("qubit counts differ")
+        return _word_rows([p], self.n)
+
+    def _syndromes(self, rows: np.ndarray) -> np.ndarray:
+        """The syndrome bits x.g_z + z.g_x of boolean (x | z) rows, one column
+        per generator g, from the uint8 [Z | X]^T: sums wrap mod 256, which
+        keeps their parity.  This decides every commutation question."""
+        return (rows.view(np.uint8) @ self._zx) & 1
+
+    def _residues(self, rows: np.ndarray) -> np.ndarray:
+        """(x | z) rows reduced in place against the echelon: a row ends zero
+        exactly when its word is in the generated group, up to phase."""
+        for col, row in self._echelon:
+            rows[rows[:, col]] ^= row
+        return rows
+
     def rank(self) -> int:
-        return len(self._pivots)
+        return len(self._echelon)
+
+    @functools.cached_property
+    def z_type(self) -> tuple[PauliProduct, ...]:
+        """A basis of the Z-type subgroup, products of generators whose X parts
+        cancel, phases kept: r - rank(X) words, the +I relations among them."""
+        return tuple(self._product(chosen) for chosen in self._z_choices)
 
     def contains(self, p: PauliProduct) -> bool:
         """Phase-free membership in the generated group."""
-        if p.n != self.n:
-            raise ValueError("qubit counts differ")
-        return _in_span(self._pivots, self._reduced, p.symplectic_int())
+        return not self._residues(self._row(p)).any()
 
     def centralizer(self) -> list[PauliProduct]:
-        """Deterministic GF(2) basis of everything commuting with all generators."""
-        # p commutes with g exactly when (z_g | x_g) . (x_p | z_p) is even
-        n, mask = self.n, (1 << self.n) - 1
-        rows = [g.z_bits << n | g.x_bits for g in self.generators]
-        return [PauliProduct(n, v >> n, v & mask, 0) for v in _nullspace(rows, 2 * n)]
+        """Deterministic GF(2) basis of everything commuting with all
+        generators: the null space of [Z | X], read off its echelon."""
+        n = self.n
+        pivots, reduced = _rref(self._zx.T.astype(bool))
+        free = [c for c in range(2 * n) if c not in pivots]
+        basis = np.zeros((len(free), 2 * n), dtype=bool)
+        basis[np.arange(len(free)), free] = True
+        basis[:, pivots] = reduced[:, free].T
+        return [PauliProduct(n, int(x), int(z))
+                for x, z in zip(_masks(basis[:, :n]), _masks(basis[:, n:]))]
 
     def in_centralizer(self, p: PauliProduct) -> bool:
-        return all(p.commutes(g) for g in self.generators)
-
-    @functools.cached_property
-    def _search_rows(self):
-        """[Gz | Gx]^T, the generators' bits as a uint8 (2n, r) matrix, so
-        that an (x | z) row times it is the row's syndrome; and each echelon
-        row as (its pivot's entry, the row) in an (x | z) bool row."""
-        n = self.n
-        bits = lambda v, nbits: [v >> s & 1 for s in range(nbits - 1, -1, -1)]
-        g = np.array([bits(p.z_bits << n | p.x_bits, 2 * n) for p in self.generators],
-                     dtype=np.uint8)
-        # pivot column c of a symplectic_int is entry 2n-1-c of an (x | z) row
-        pivots = [(2 * n - 1 - c, np.array(bits(r, 2 * n), dtype=bool))
-                  for c, r in zip(self._pivots, self._reduced)]
-        return g.T.copy(), pivots
+        return not self._syndromes(self._row(p)).any()
 
     def min_distance(self, alphabet: str = "XYZ", cap: int = 5) -> int:
         """Smallest weight of a centralizer element outside the generated group.
@@ -314,17 +323,12 @@ class StabilizerGeneratorSet:
         Searches the words of increasing weight whose non-identity letters
         are drawn from `alphabet`, a chunk of _word_arrays at a time: the
         chunk's syndromes are one integer product mod 2, and only the rows
-        with a zero syndrome are reduced against the generators' echelon
-        rows.  Raises SearchCapExceeded past the cap rather than guessing.
+        with a zero syndrome are reduced against the echelon.  Raises
+        SearchCapExceeded past the cap rather than guessing.
         """
-        g, pivots = self._search_rows
         for w, x, z in _word_arrays(self.n, cap, alphabet):
             rows = np.hstack([x, z])
-            # X Gz^T + Z Gx^T; sums wrap mod 256 in uint8, which keeps their parity
-            rows = rows[~((rows.view(np.uint8) @ g) & 1).any(axis=1)]
-            for col, row in pivots:
-                rows[rows[:, col]] ^= row
-            if rows.any():
+            if self._residues(rows[~self._syndromes(rows).any(axis=1)]).any():
                 return w
         raise SearchCapExceeded(cap)
 

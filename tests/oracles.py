@@ -1,7 +1,8 @@
 """Reference constructions that the package's fast paths replaced.
 
 Each builds the same object the straightforward way: Kronecker chains and
-projector products for Pauli words and codespaces, one validated word at a
+projector products for Pauli words and codespaces, the closure of a
+generator set under products for its group, one validated word at a
 time for the Pauli word sets and both distance searches, loops over the operators
 of a flat channel for the action and entanglement fidelity of a product,
 per-syndrome and per-branch loops for the pipeline outcome tables, the
@@ -20,7 +21,7 @@ import numpy as np
 from qecdesk.analysis import kl_residual
 from qecdesk.channels import KrausChannel, PauliChannel, collective_spin, depolarizing
 from qecdesk.codes import CodeSubspace, SubsystemIdentification
-from qecdesk.gf2_symplectic import SearchCapExceeded, _letters_word
+from qecdesk.gf2_symplectic import SearchCapExceeded, _letters_word, identity_word
 from qecdesk.hilbert import (
     ATOL_ALGEBRA,
     DensityOperator,
@@ -74,6 +75,15 @@ def first_weight(n: int, alphabet: str, cap: int, predicate) -> int:
         if predicate(word):
             return len(support)
     raise SearchCapExceeded(cap)
+
+
+def signed_group(words) -> set:
+    """Every product of commuting words with its phase, closed one word at a
+    time under PauliProduct.multiply."""
+    group = {identity_word(words[0].n)}
+    for g in words:
+        group |= {p.multiply(g) for p in group}
+    return group
 
 
 def projector_codespace(stab) -> CodeSubspace:

@@ -130,6 +130,42 @@ def test_mindist_from_file(capsys, tmp_path):
     assert data["distance"] == 1
 
 
+def test_mindist_past_the_int64_width(capsys, tmp_path):
+    # 70 qubits, 69 ZZ generators: every word is wider than an int64 mask
+    from qecdesk.gf2_symplectic import PauliProduct, StabilizerGeneratorSet
+
+    gens = ["I" * j + "ZZ" + "I" * (68 - j) for j in range(69)]
+    path = tmp_path / "rep70.txt"
+    path.write_text("".join(g + "\n" for g in gens))
+    code, data = run_json(capsys, ["mindist", "--stabilizer", str(path)])
+    assert (code, data["distance"]) == (0, 1)
+    code, data = run_json(capsys, ["mindist", "--stabilizer", str(path),
+                                   "--alphabet", "X", "--cap", "2"])
+    assert (code, data["distance"], data["exceeds_cap"]) == (0, None, 2)
+    stab = StabilizerGeneratorSet.from_strings(gens)
+    word = PauliProduct.from_string
+    assert stab.rank() == 69
+    assert stab.contains(word("Z" + "I" * 68 + "Z"))
+    assert not stab.contains(word("Z" + "I" * 69))
+    assert stab.in_centralizer(word("Z" + "I" * 69))
+    assert stab.in_centralizer(word("X" * 70)) and not stab.contains(word("X" * 70))
+    assert not stab.in_centralizer(word("I" * 69 + "X"))
+
+
+def test_inconsistent_generators_are_refused_by_every_command(capsys, tmp_path):
+    # XXI ZZI = -YYI, so the group holds -I and no code state exists
+    path = tmp_path / "bad.txt"
+    path.write_text("XXI\nZZI\nYYI\n")
+    for argv in (["mindist", "--stabilizer", str(path)],
+                 ["check", "--code", str(path), "--errors", "weight1"],
+                 ["simulate", "--code", str(path), "--channel", "bitflip p=0.1"]):
+        assert main(argv) == USAGE_EXIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("qecdesk: error: generators XXI, ZZI, YYI multiply to -I: "
+                                "they stabilize no state\n")
+
+
 def test_codespace_is_built_once_on_first_read(capsys, monkeypatch):
     import qecdesk.codes
 

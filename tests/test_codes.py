@@ -267,9 +267,10 @@ def test_stabilizer_codespace_columns_match_the_projector_oracle(gens):
 
 
 def test_stabilizer_codespace_rejects_inconsistent_generators():
-    stab = StabilizerGeneratorSet.from_strings(["XX", "YY", "ZZ"])
-    with pytest.raises(ValueError, match="^generators are inconsistent: projector has trace 0$"):
-        stabilizer_codespace(stab)
+    # XX YY ZZ = -I: the set is refused where it is built, before any codespace
+    with pytest.raises(ValueError, match="^generators XX, YY, ZZ multiply to -I: "
+                                         "they stabilize no state$"):
+        StabilizerGeneratorSet.from_strings(["XX", "YY", "ZZ"])
 
 
 def test_stabilizer_codespace_allocates_its_columns_only():

@@ -5,6 +5,7 @@ The command line turns a ValueError into a usage error (exit 64) naming the
 problem; any other exception would end in a traceback, so it is a bug.
 """
 
+import functools
 import json
 import os
 import tempfile
@@ -14,12 +15,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import projector_codespace
+from oracles import projector_codespace, signed_group
 from qecdesk.analysis import min_distance_quantum
 from qecdesk.channels import parse_channel_spec
 from qecdesk.cli import _load_code, _parse_errors, _parse_input, main
-from qecdesk.codes import FIVE_QUBIT_GENERATORS, builtin_code, parse_code_text
-from qecdesk.gf2_symplectic import PauliProduct, SearchCapExceeded, _in_span, _rref
+from qecdesk.codes import (
+    FIVE_QUBIT_GENERATORS,
+    builtin_code,
+    parse_code_text,
+    stabilizer_codespace,
+)
+from qecdesk.gf2_symplectic import (
+    PauliProduct,
+    SearchCapExceeded,
+    StabilizerGeneratorSet,
+    identity_word,
+)
 
 KINDS = ("depolarizing", "bitflip", "gaussian7", "collective", "independent")
 KEYS = ("p", "K", "n", "vx", "vy", "vz", "q", "")
@@ -102,7 +113,7 @@ code_text = st.builds(
 @example("basis:\n[[1e200,0],[1e200,0]]\n[[1e200,0],[-1e200,0]]")  # Gram overflows to NaN
 @example("basis:\n[[" + "9" * 400 + ", 0]]")  # an integer past float range
 @example("basis:\n" + "[" * 100000)  # nested past the recursion limit
-@example("XX\nZZ\nYY")  # inconsistent: XX ZZ = -YY, refused on first read of the codespace
+@example("XX\nZZ\nYY")  # inconsistent: XX ZZ = -YY, refused with the generators
 @example("basis:\n[[1,0],[0,0]]\n[[1,0],[0,0]]")  # not orthonormal, refused on first read
 def test_code_text_returns_or_raises_value_error(text):
     # the codespace is built on first read, so reading it is part of parsing
@@ -141,13 +152,59 @@ def commuting_generators(draw):
     """Commuting, independent phase-free words on 1-6 qubits: symplectic
     integers kept by rejection, so every set is a consistent stabilizer."""
     n = draw(st.integers(1, 6))
-    words, pivots, reduced = [], [], []
+    words = []
     for v in draw(st.lists(st.integers(1, 4 ** n - 1), min_size=1, max_size=2 * n)):
         word = PauliProduct(n, v >> n, v & ((1 << n) - 1))
-        if all(word.commutes(w) for w in words) and not _in_span(pivots, reduced, v):
+        if not words or (stab.in_centralizer(word) and not stab.contains(word)):
             words.append(word)
-            pivots, reduced = _rref([w.symplectic_int() for w in words], 2 * n)
+            stab = StabilizerGeneratorSet(words)
     return words
+
+
+@st.composite
+def commuting_words(draw):
+    """Commuting phase-free words on 1-4 qubits, the identity among them,
+    then phase-free products of some of them: dependent words, and -I in
+    the group where a product carries the sign -1."""
+    n = draw(st.integers(1, 4))
+    words = []
+    for v in draw(st.lists(st.integers(0, 4 ** n - 1), min_size=1, max_size=2 * n)):
+        word = PauliProduct(n, v >> n, v & ((1 << n) - 1))
+        if all(word.commutes(w) for w in words):
+            words.append(word)
+    for pick in draw(st.lists(st.integers(1, 2 ** len(words) - 1), max_size=2)):
+        chosen = [w for i, w in enumerate(words) if pick >> i & 1]
+        words.append(functools.reduce(PauliProduct.multiply, chosen).phase_free())
+    return words
+
+
+@settings(deadline=None, max_examples=100)
+@given(commuting_words())
+@example([PauliProduct.from_string(w) for w in ("XX", "ZZ", "YY")])  # XX ZZ = -YY
+@example([PauliProduct.from_string(w) for w in ("ZZI", "III", "ZZI", "XXX")])
+def test_generator_set_matches_the_brute_force_group(words):
+    # rank, membership, commutation and the centralizer against the group of
+    # every product of the words, phases kept
+    n = words[0].n
+    group = signed_group(words)
+    if PauliProduct(n, 0, 0, 2) in group:
+        with pytest.raises(ValueError, match="multiply to -I"):
+            StabilizerGeneratorSet(words)
+        return
+    stab = StabilizerGeneratorSet(words)
+    members = {p.phase_free() for p in group}
+    assert 2 ** stab.rank() == len(members) == len(group)
+    every = [PauliProduct(n, x, z) for x in range(2 ** n) for z in range(2 ** n)]
+    commuting = {w for w in every if all(w.multiply(g) == g.multiply(w) for g in words)}
+    assert {w for w in every if stab.contains(w)} == members
+    assert {w for w in every if stab.in_centralizer(w)} == commuting
+    basis = stab.centralizer()
+    span = {identity_word(n)}
+    for b in basis:
+        span |= {p.multiply(b).phase_free() for p in span}
+    assert span == commuting and 2 ** len(basis) == len(commuting)
+    assert np.array_equal(stabilizer_codespace(stab).basis_matrix(),
+                          projector_codespace(stab).basis_matrix())
 
 
 @settings(deadline=None, max_examples=80)
