@@ -179,8 +179,7 @@ def _kl_kernel(code: CodeSubspace, errors, against_code: bool = False):
         step = _words_per_chunk(d, k)
         for s in range(0, len(at), step):
             part = slice(s, s + step)
-            ec = _apply_words(n, x[part], z[part], phase[part], c)
-            blocks.reshape(d, m, k)[:, at[part]] = ec.transpose(1, 0, 2)
+            blocks.reshape(d, m, k)[:, at[part]] = _apply_words(n, x[part], z[part], phase[part], c)
     bra = c if against_code else blocks
     g = (bra.conj().T @ blocks).reshape(bra.shape[1] // k, k, m, k)
     return (tuple(labels), blocks, *kl_residual(g))
@@ -295,11 +294,12 @@ def min_distance_quantum(code: CodeSubspace, alphabet: str = "XYZ",
 
     Dense search over the words of increasing weight, a chunk of
     gf2_symplectic._word_arrays at a time: the blocks E C of a chunk are one
-    signed row gather of the code basis C, and C^dag E C one stacked k x k
-    product per word.  A word is undetectable when max |C^dag E C - lambda I|
-    passes ATOL_ALGEBRA, detectable_quantum's rule (kl_residual).  A chunk's
-    working set stays near _CHUNK_BYTES, whatever the cap.  Raises
-    SearchCapExceeded rather than guessing when the cap is passed.
+    signed row gather of the code basis C, laid side by side, and all their
+    C^dag E C one product C^dag [E_1 C | E_2 C | ...].  A word is
+    undetectable when max |C^dag E C - lambda I| passes ATOL_ALGEBRA,
+    detectable_quantum's rule (kl_residual).  A chunk's working set stays
+    near _CHUNK_BYTES, whatever the cap.  Raises SearchCapExceeded rather
+    than guessing when the cap is passed.
     """
     if any(d != 2 for d in code.physical_dims):
         raise ValueError("distance search expects qubit factors")
@@ -308,16 +308,17 @@ def min_distance_quantum(code: CodeSubspace, alphabet: str = "XYZ",
     d, k = c.shape
     bra = np.ascontiguousarray(c.conj().T)
     for w, x, z in _word_arrays(n, cap, alphabet, _words_per_chunk(d, k)):
-        g = bra @ _apply_words(n, _masks(x), _masks(z), 0, c)  # (m, k, k)
+        g = bra @ _apply_words(n, _masks(x), _masks(z), 0, c).reshape(d, -1)
         # every word of a chunk has weight w, so the chunk's worst residual decides
-        if kl_residual(g.transpose(1, 0, 2)[None])[1] > ATOL_ALGEBRA:
+        if kl_residual(g.reshape(1, k, -1, k))[1] > ATOL_ALGEBRA:
             return w
     raise SearchCapExceeded(cap)
 
 
 def _words_per_chunk(d: int, k: int) -> int:
-    """Words whose blocks E C (d x k complex) and index maps (d ints and d
-    complex signs each, with their temporaries) fit in _CHUNK_BYTES."""
+    """Words whose blocks E C (d x k complex) and index maps (d sources,
+    phase powers and table rows each, with their temporaries) fit in
+    _CHUNK_BYTES."""
     return max(1, _CHUNK_BYTES // (8 * d * (2 * k + 4)))
 
 

@@ -485,12 +485,12 @@ def _kron_rows(factors: tuple[KrausChannel, ...], start: int, stop: int) -> np.n
 def _gather(ch: KrausChannel, idx: np.ndarray) -> np.ndarray:
     """Operators idx of ch as one (len(idx), d, d) stack, read block by block."""
     if len(ch.blocks) == 1:
-        return ch.blocks[0][idx]
+        return np.take(ch.blocks[0], idx, axis=0)
     which, at = np.divmod(idx, _block_len(ch.dim))
     out = np.empty((len(idx), ch.dim, ch.dim), dtype=complex)
     for b in np.unique(which):
         sel = which == b
-        out[sel] = ch.blocks[b][at[sel]]
+        out[sel] = np.take(ch.blocks[b], at[sel], axis=0)
     return out
 
 

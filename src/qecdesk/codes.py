@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2_symplectic import StabilizerGeneratorSet
+from .gf2_symplectic import StabilizerGeneratorSet, _index_maps
 from .hilbert import (
     ATOL_ALGEBRA,
     LinearOperator,
@@ -279,27 +279,28 @@ def stabilizer_codespace(stab: StabilizerGeneratorSet) -> CodeSubspace:
     sum is the trace.  Each pivot is the first j of largest residual diagonal
     P_jj - sum_i |b_i[j]|^2; P e_j comes from c <- (c + A c)/2, each A c a
     signed row gather, then loses the earlier b_i in order and is normalized.
-    P's entries are exact dyadic numbers, so this is the pivoted Gram-Schmidt
-    basis of P's columns bit for bit.  A rank mismatch raises; the set itself
-    refuses inconsistent generators.
+    The (src, coef) of every generator and Z-type element come from one
+    batched _index_maps call.  P's entries are exact dyadic numbers, so this
+    is the pivoted Gram-Schmidt basis of P's columns bit for bit.  A rank
+    mismatch raises; the set itself refuses inconsistent generators.
     """
     n = stab.n
     _check_dims((2,) * n, f"{n}-qubit codespace")
     d = 2 ** n
-    gens = stab.generators
-    keep = np.ones(d, dtype=bool)
-    for z in stab.z_type:
-        keep &= z.index_map()[1].real > 0
-    diag = keep * 2.0 ** (len(stab.z_type) - len(gens))
+    r = len(stab.generators)
+    x, z, k = np.array([(w.x_bits, w.z_bits, w.phase_k)
+                        for w in stab.generators + stab.z_type]).T
+    src, coef = _index_maps(n, x, z, k)
+    keep = (coef[r:].real > 0).all(axis=0)
+    diag = keep * 2.0 ** (len(stab.z_type) - r)
     expected = 2 ** (n - stab.rank())
-    maps = [g.index_map() for g in gens]
     basis = []
     for _ in range(expected):
         j = int(np.argmax(diag))
         c = np.zeros(d, dtype=complex)
         c[j] = 1.0
-        for src, coef in maps:
-            c += c[src] * coef
+        for s, cf in zip(src[:r], coef[:r]):
+            c += np.take(c, s) * cf
             c /= 2.0
         for b in basis:
             c -= b * (b.conj() @ c)

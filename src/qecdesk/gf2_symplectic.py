@@ -21,12 +21,13 @@ codespace build needs its dense matrix.
 A set of words is one array form: boolean rows [X | Z], qubit j in columns
 j and n + j (`_word_arrays` yields them in chunks of bounded size).  A
 generator set is its rows and one GF(2) elimination of them (`_rref`, the
-only one here): commutation with every generator is one integer product mod
-2, the syndromes X Gz^T + Z Gx^T; membership is a reduction of the rows
-against the echelon; the Z-type subgroup, the relations and the centralizer
-are read off echelons too.  Bit masks (`_masks`) give all the row gathers of
-a set at once (`_apply_words`); popcounts come from a byte table, so no
-numpy 2 function is needed.
+only one here): commutation with every generator is one float32 BLAS
+product taken mod 2, the syndromes X Gz^T + Z Gx^T; membership is a
+reduction of the rows against the reduced echelon, one more such product;
+the Z-type subgroup, the relations and the centralizer are read off
+echelons too.  Bit masks (`_masks`) give all the row gathers of a set at
+once (`_apply_words`, one np.take of rows); popcounts come from a byte
+table, so no numpy 2 function is needed.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ _TOKEN_PHASE = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 _PHASES = np.array([1, 1j, -1, -1j])  # i**k
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 _WORD_CHUNK = 4096  # rows in one chunk of a word set
+_MAX_SYNDROME_QUBITS = 2 ** 23  # 2n ones per syndrome sum stay exact in float32
 
 class SearchCapExceeded(Exception):
     """Raised when a minimum-distance search passes its weight cap."""
@@ -123,14 +125,12 @@ class PauliProduct:
         x = (self.x_bits & other.z_bits) ^ (self.z_bits & other.x_bits)
         return x.bit_count() % 2 == 0
 
-    def _arrays(self):
-        return np.array([self.x_bits]), np.array([self.z_bits]), self.phase_k
-
     def index_map(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, coef) with (P v)[i] = coef[i] * v[src[i]], qubit 0 the most
         significant bit of i: src = i ^ x, and coef = i^(phase_k + y) signed by
         (-1)^|src & z|."""
-        src, coef = _index_maps(self.n, *self._arrays())
+        x, z = np.array([self.x_bits]), np.array([self.z_bits])
+        src, coef = _index_maps(self.n, x, z, self.phase_k)
         return src[0], coef[0]
 
     def apply(self, m) -> np.ndarray:
@@ -138,7 +138,8 @@ class PauliProduct:
         m = np.asarray(m)
         if m.shape[:1] != (2 ** self.n,):
             raise ValueError(f"{self} acts on {2 ** self.n} rows, got shape {m.shape}")
-        return _apply_words(self.n, *self._arrays(), m)[0]
+        src, coef = self.index_map()
+        return np.take(m, src, axis=0) * coef.reshape((-1,) + (1,) * (m.ndim - 1))
 
     def dense(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix, qubit 0 as the most significant factor."""
@@ -160,7 +161,7 @@ def _letters_word(n: int, qubits, letters, phase_k: int = 0) -> PauliProduct:
 def _popcount(v: np.ndarray, nbits: int) -> np.ndarray:
     """Popcount of each entry of a nonnegative int array below 2**nbits,
     summed from the byte table."""
-    return sum(_POPCOUNT[v >> s & 0xFF] for s in range(0, nbits, 8))
+    return sum(np.take(_POPCOUNT, v >> s & 0xFF) for s in range(0, nbits, 8))
 
 
 def _masks(b: np.ndarray) -> np.ndarray:
@@ -171,21 +172,34 @@ def _masks(b: np.ndarray) -> np.ndarray:
     return b.dot(np.array(place, dtype=np.int64 if n <= 62 else object))
 
 
+def _sources(n: int, x: np.ndarray, z: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
+    """(src, q) of every word with masks x, z and phase powers k (arrays of
+    one length, or k a scalar) as (2^n, len(x)) arrays: (P_i v)[j] is
+    i^q[j, i] v[src[j, i]], src = j ^ x_i and q = k_i + y_i + 2|src & z_i|
+    mod 4, the popcounts of src & z read from one table over the 2^n
+    indices."""
+    index = np.arange(2 ** n)[:, None]
+    src = index ^ x
+    q = k + _popcount(x & z, n) + 2 * np.take(_popcount(index, n), src & z)
+    return src, q & 3
+
+
 def _index_maps(n: int, x: np.ndarray, z: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
-    """index_map of every word with masks x, z and phase powers k (arrays of
-    one length, or k a scalar), stacked: src and coef are (len(x), 2^n)."""
-    src = np.arange(2 ** n) ^ x[:, None]
-    q = (k + _popcount(x & z, n))[:, None] + 2 * _popcount(src & z[:, None], n)
-    return src, _PHASES[q % 4]
+    """index_map of every word of _sources, stacked: src and coef are
+    (len(x), 2^n)."""
+    src, q = _sources(n, x, z, k)
+    return src.T, np.take(_PHASES, q.T)
 
 
 def _apply_words(n: int, x: np.ndarray, z: np.ndarray, k, m: np.ndarray) -> np.ndarray:
-    """P_i m for every word of _index_maps, stacked as (len(x),) + m.shape:
-    one signed row gather for all of them."""
-    src, coef = _index_maps(n, x, z, k)
-    out = m[src].astype(complex, copy=False)
-    out *= coef.reshape(coef.shape + (1,) * (m.ndim - 1))
-    return out
+    """P_i m for every word of _sources, at [:, i] of a (2^n, len(x)) +
+    m.shape[1:] array, so the blocks of a matrix m sit side by side in
+    .reshape(2^n, -1).  Row 4j + q of a table holds i^q m[j], and one np.take
+    of its rows at 4 src + q (not fancy indexing, numpy's slower path) is
+    every signed row gather at once, with no multiply after it."""
+    src, q = _sources(n, x, z, k)
+    signed = m[:, None] * _PHASES.reshape((1, 4) + (1,) * (m.ndim - 1))
+    return np.take(signed.reshape((-1,) + m.shape[1:]), src << 2 | q, axis=0)
 
 
 def identity_word(n: int) -> PauliProduct:
@@ -207,6 +221,12 @@ def _word_rows(words, n: int) -> np.ndarray:
     n + j; phases are dropped."""
     text = "".join(f"{w.x_bits:0{n}b}{w.z_bits:0{n}b}" for w in words)
     return (np.frombuffer(text.encode(), dtype=np.uint8) == ord("1")).reshape(-1, 2 * n)
+
+
+def _gf2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b mod 2 for boolean a and float32 0/1 b, as one float32 BLAS
+    product: exact while each sum, at most a.shape[1] ones, is below 2^24."""
+    return (a.astype(np.float32) @ b).astype(np.int32) & 1
 
 
 def _rref(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -241,6 +261,9 @@ class StabilizerGeneratorSet:
         if not generators:
             raise ValueError("need at least one generator")
         n = generators[0].n
+        if n >= _MAX_SYNDROME_QUBITS:
+            raise ValueError(f"generators on {n} qubits: syndromes are float32 sums of up to "
+                             f"2n ones, exact only below 2^24, so n must be below 2^23")
         for g in generators:
             if g.n != n:
                 raise ValueError("generators act on different qubit counts")
@@ -249,13 +272,15 @@ class StabilizerGeneratorSet:
         self.n = n
         self.generators = gens = tuple(generators)
         rows = _word_rows(gens, n)
-        self._zx = np.hstack([rows[:, n:], rows[:, :n]]).T.astype(np.uint8)
+        self._zx = np.hstack([rows[:, n:], rows[:, :n]]).T.astype(np.float32)
         first, second = np.nonzero(np.triu(self._syndromes(rows), 1))
         if first.size:
             raise ValueError(f"generators {gens[first[0]]} and {gens[second[0]]} anticommute")
         pivots, reduced = _rref(np.hstack([rows, np.eye(len(gens), dtype=bool)]))
-        pivots = np.array(pivots)
-        self._echelon = [(int(c), row) for c, row in zip(pivots, reduced[:, :2 * n]) if c < 2 * n]
+        pivots = np.array(pivots, dtype=np.intp)
+        own = pivots < 2 * n
+        self._pivots = pivots[own]
+        self._echelon = reduced[own, :2 * n].astype(np.float32)
         self._z_choices = reduced[pivots >= n, 2 * n:]
         for chosen in reduced[pivots >= 2 * n, 2 * n:]:
             if self._product(chosen).phase_k:
@@ -278,19 +303,22 @@ class StabilizerGeneratorSet:
 
     def _syndromes(self, rows: np.ndarray) -> np.ndarray:
         """The syndrome bits x.g_z + z.g_x of boolean (x | z) rows, one column
-        per generator g, from the uint8 [Z | X]^T: sums wrap mod 256, which
-        keeps their parity.  This decides every commutation question."""
-        return (rows.view(np.uint8) @ self._zx) & 1
+        per generator g: one float32 BLAS product with [Z | X]^T, then parity.
+        Each sum counts at most 2n ones, an integer that float32 holds exactly
+        below 2^24, and the constructor refuses n >= 2^23.  This decides every
+        commutation question."""
+        return _gf2_product(rows, self._zx)
 
     def _residues(self, rows: np.ndarray) -> np.ndarray:
-        """(x | z) rows reduced in place against the echelon: a row ends zero
-        exactly when its word is in the generated group, up to phase."""
-        for col, row in self._echelon:
-            rows[rows[:, col]] ^= row
-        return rows
+        """(x | z) rows reduced against the echelon: a row ends zero exactly
+        when its word is in the generated group, up to phase.  The echelon is
+        fully reduced, so a row takes echelon row i exactly when it holds a 1
+        in pivot column i: one float32 product mod 2, its sums at most the
+        rank."""
+        return rows ^ _gf2_product(np.take(rows, self._pivots, axis=1), self._echelon).astype(bool)
 
     def rank(self) -> int:
-        return len(self._echelon)
+        return len(self._pivots)
 
     @functools.cached_property
     def z_type(self) -> tuple[PauliProduct, ...]:
@@ -322,7 +350,7 @@ class StabilizerGeneratorSet:
 
         Searches the words of increasing weight whose non-identity letters
         are drawn from `alphabet`, a chunk of _word_arrays at a time: the
-        chunk's syndromes are one integer product mod 2, and only the rows
+        chunk's syndromes are one float32 product mod 2, and only the rows
         with a zero syndrome are reduced against the echelon.  Raises
         SearchCapExceeded past the cap rather than guessing.
         """
@@ -346,24 +374,24 @@ def _word_arrays(n: int, max_weight: int, alphabet: str = "XYZ", chunk: int = _W
     letters = sorted(set(alphabet))
     if any(c not in "XYZ" for c in letters) or not letters:
         raise ValueError(f"alphabet must be a nonempty subset of XYZ, got {alphabet!r}")
-    lx = np.array([_XZ[c][0] for c in letters], dtype=bool)
-    lz = np.array([_XZ[c][1] for c in letters], dtype=bool)
+    lx, lz = np.array([_XZ[c] for c in letters], dtype=bool).T
     a = len(letters)
     for w in range(1, min(max_weight, n) + 1):
         t = w  # the last t letters vary within a chunk, the leading w - t do not
         while t and a ** t > chunk:
             t -= 1
-        tails = np.array(list(itertools.product(range(a), repeat=t)), dtype=np.intp)
-        tails = tails.reshape(a ** t, t)
+        # the bits of every choice of the last t letters, in product order
+        tails = np.indices((a,) * t).reshape(t, a ** t).T
+        tx, tz = lx[tails], lz[tails]
         supports = itertools.combinations(range(n), w)
         while batch := list(itertools.islice(supports, max(1, chunk // a ** w))):
-            cols = np.repeat(np.array(batch), len(tails), axis=0)
-            r = np.arange(len(cols))[:, None]
+            cols = np.array(batch).T  # row j: the j-th qubit of each support
+            b = np.arange(len(batch))
             for lead in itertools.product(range(a), repeat=w - t):
-                head = np.broadcast_to(np.array(lead, dtype=np.intp), (len(tails), w - t))
-                choice = np.tile(np.hstack([head, tails]), (len(batch), 1))
-                x = np.zeros((len(cols), n), dtype=bool)
-                z = np.zeros((len(cols), n), dtype=bool)
-                x[r, cols] = lx[choice]
-                z[r, cols] = lz[choice]
-                yield w, x, z
+                x = np.zeros((len(batch), a ** t, n), dtype=bool)
+                z = np.zeros_like(x)
+                for j, col in enumerate(cols):
+                    i = j - (w - t)  # the letter's place among the tails, < 0 in the lead
+                    x[b, :, col] = tx[:, i] if i >= 0 else lx[lead[j]]
+                    z[b, :, col] = tz[:, i] if i >= 0 else lz[lead[j]]
+                yield w, x.reshape(-1, n), z.reshape(-1, n)

@@ -260,7 +260,7 @@ def run_monte_carlo(
         u = g.random((count, 2))
         branch = np.searchsorted(cum_q, u[:, 0], side="right")
         branch = np.minimum(branch, len(qs) - 1)
-        row = (cum_d[branch] < u[:, 1][:, None]).sum(axis=1)
+        row = (np.take(cum_d, branch, axis=0) < u[:, 1][:, None]).sum(axis=1)
         row = np.minimum(row, len(counts) - 1)
         counts += np.bincount(row, minlength=len(counts))
     return _report(ident, counts / float(trials), scenario, input_desc, None,

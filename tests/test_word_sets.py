@@ -2,9 +2,13 @@
 
 The word arrays, both distance searches and the weight <= N sets are checked
 against tests/oracles.py: pauli_words builds one validated PauliProduct per
-word in the same order, and first_weight judges them one at a time.
+word in the same order, and first_weight judges them one at a time.  The
+kernels under them are checked too: the float32 syndromes against int64
+sums, the batched row gathers against dense words, and the codespace built
+from one batched index map against one index_map() per word.
 """
 
+import functools
 import itertools
 import tracemalloc
 
@@ -13,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import first_weight, pauli_words
+from oracles import dense_word, first_weight, pauli_words, syndrome_parity, word_by_word_codespace
+from qecdesk import gf2_symplectic
 from qecdesk.analysis import (
     detectable_quantum,
     min_distance_quantum,
@@ -25,6 +30,7 @@ from qecdesk.gf2_symplectic import (
     PauliProduct,
     SearchCapExceeded,
     StabilizerGeneratorSet,
+    _apply_words,
     _masks,
     _word_arrays,
     identity_word,
@@ -42,13 +48,13 @@ def outcome(search, *args, **kwargs):
 
 
 @st.composite
-def generator_sets(draw):
-    """r >= n - 2 independent commuting phase-free words on n <= 8 qubits: Z
+def generator_sets(draw, max_n=8):
+    """r >= n - 2 independent commuting phase-free words on n <= max_n qubits: Z
     on each of the first r qubits, carried through drawn symplectic
     transvections u -> u + <u, v> v, which keep commutation and independence.
     Few logical qubits make distances past 1 and searches past the cap
     common."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max_n))
     r = draw(st.integers(max(1, n - 2), n))
     masks = st.integers(0, 2 ** n - 1)
     gens = [(0, 1 << (n - 1 - j)) for j in range(r)]
@@ -159,3 +165,65 @@ def test_exhausting_searches_keep_temporaries_small():
             min_distance_quantum(space, alphabet="X", cap=5)
 
     assert _extra_peak(dense) <= 3 * 2 ** 20
+
+
+# --- the kernels under the searches -------------------------------------------
+
+
+@settings(deadline=None, max_examples=30)
+@given(generator_sets(max_n=70), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_syndromes_are_the_integer_parity_of_the_boolean_product(stab, m, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.random((m, 2 * stab.n)) < 0.5
+    assert np.array_equal(stab._syndromes(rows), syndrome_parity(rows, stab.generators))
+    # the residue product reduces any product of generators to zero
+    chosen = [g for g in stab.generators if rng.random() < 0.5]
+    assert stab.contains(functools.reduce(PauliProduct.multiply, chosen, identity_word(stab.n)))
+
+
+def test_syndromes_of_the_500_qubit_first_chunk():
+    stab = _repetition(500)
+    _, x, z = next(_word_arrays(500, 1))
+    rows = np.hstack([x, z])
+    assert rows.shape == (1500, 1000)
+    assert np.array_equal(stab._syndromes(rows), syndrome_parity(rows, stab.generators))
+    assert stab.contains(PauliProduct.from_string("Z" + "I" * 498 + "Z"))
+    assert not stab.contains(PauliProduct.from_string("Z" + "I" * 499))
+
+
+def test_generator_sets_from_2_to_the_23_qubits_are_refused_unbuilt(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(gf2_symplectic, "_word_rows", no_rows)
+    with pytest.raises(ValueError, match=r"on 8388608 qubits: .* n must be below 2\^23$"):
+        StabilizerGeneratorSet([PauliProduct(2 ** 23, 1, 0)])
+
+
+word_batches = st.integers(1, 5).flatmap(lambda n: st.lists(st.builds(
+    PauliProduct, st.just(n), st.integers(0, 2 ** n - 1), st.integers(0, 2 ** n - 1),
+    st.integers(0, 3)), min_size=1, max_size=6))
+
+
+@settings(deadline=None, max_examples=100)
+@given(word_batches, st.integers(0, 2 ** 32 - 1))
+def test_apply_words_matches_the_dense_words(words, seed):
+    rng = np.random.default_rng(seed)
+    n, d = words[0].n, 2 ** words[0].n
+    x, z, k = (np.array(v) for v in zip(*[(w.x_bits, w.z_bits, w.phase_k) for w in words]))
+    for m in (rng.normal(size=d) + 1j * rng.normal(size=d),
+              rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3)),
+              rng.normal(size=(d, 2))):
+        got = _apply_words(n, x, z, k, m)
+        assert got.shape == (d, len(words)) + m.shape[1:]
+        unphased = _apply_words(n, x, z, 0, m)
+        for w, g, u in zip(words, np.moveaxis(got, 1, 0), np.moveaxis(unphased, 1, 0)):
+            assert np.array_equal(g, dense_word(w) @ m)
+            assert np.array_equal(u, dense_word(w.phase_free()) @ m)
+
+
+@settings(deadline=None, max_examples=60)
+@given(generator_sets())
+def test_stabilizer_codespace_matches_one_index_map_per_word(stab):
+    got = stabilizer_codespace(stab).basis_matrix()
+    assert np.array_equal(got, word_by_word_codespace(stab).basis_matrix())
