@@ -317,7 +317,7 @@ def min_distance_quantum(code: CodeSubspace, alphabet: str = "XYZ",
 
 def _words_per_chunk(d: int, k: int) -> int:
     """Words whose blocks E C (d x k complex) and index maps (d sources,
-    phase powers and table rows each, with their temporaries) fit in
+    phase powers and complex signs each, with their temporaries) fit in
     _CHUNK_BYTES."""
     return max(1, _CHUNK_BYTES // (8 * d * (2 * k + 4)))
 

@@ -125,12 +125,14 @@ class PauliProduct:
         x = (self.x_bits & other.z_bits) ^ (self.z_bits & other.x_bits)
         return x.bit_count() % 2 == 0
 
+    def _arrays(self):
+        return np.array([self.x_bits]), np.array([self.z_bits]), self.phase_k
+
     def index_map(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, coef) with (P v)[i] = coef[i] * v[src[i]], qubit 0 the most
         significant bit of i: src = i ^ x, and coef = i^(phase_k + y) signed by
         (-1)^|src & z|."""
-        x, z = np.array([self.x_bits]), np.array([self.z_bits])
-        src, coef = _index_maps(self.n, x, z, self.phase_k)
+        src, coef = _index_maps(self.n, *self._arrays())
         return src[0], coef[0]
 
     def apply(self, m) -> np.ndarray:
@@ -138,8 +140,7 @@ class PauliProduct:
         m = np.asarray(m)
         if m.shape[:1] != (2 ** self.n,):
             raise ValueError(f"{self} acts on {2 ** self.n} rows, got shape {m.shape}")
-        src, coef = self.index_map()
-        return np.take(m, src, axis=0) * coef.reshape((-1,) + (1,) * (m.ndim - 1))
+        return _apply_words(self.n, *self._arrays(), m)[:, 0]
 
     def dense(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix, qubit 0 as the most significant factor."""
@@ -194,12 +195,12 @@ def _index_maps(n: int, x: np.ndarray, z: np.ndarray, k) -> tuple[np.ndarray, np
 def _apply_words(n: int, x: np.ndarray, z: np.ndarray, k, m: np.ndarray) -> np.ndarray:
     """P_i m for every word of _sources, at [:, i] of a (2^n, len(x)) +
     m.shape[1:] array, so the blocks of a matrix m sit side by side in
-    .reshape(2^n, -1).  Row 4j + q of a table holds i^q m[j], and one np.take
-    of its rows at 4 src + q (not fancy indexing, numpy's slower path) is
-    every signed row gather at once, with no multiply after it."""
+    .reshape(2^n, -1): one np.take of the rows of m (not fancy indexing,
+    numpy's slower path) for every word at once, then the phases."""
     src, q = _sources(n, x, z, k)
-    signed = m[:, None] * _PHASES.reshape((1, 4) + (1,) * (m.ndim - 1))
-    return np.take(signed.reshape((-1,) + m.shape[1:]), src << 2 | q, axis=0)
+    out = np.take(m, src, axis=0).astype(complex, copy=False)
+    out *= np.take(_PHASES, q).reshape(q.shape + (1,) * (m.ndim - 1))
+    return out
 
 
 def identity_word(n: int) -> PauliProduct:

@@ -1,16 +1,15 @@
 """Reference constructions that the package's fast paths replaced.
 
 Each builds the same object the straightforward way: Kronecker chains and
-projector products for Pauli words and codespaces, one index map per word
-for the codespace columns, int64 sums for the syndromes of a generator set,
-the closure of a generator set under products for its group, one validated
-word at a time for the Pauli word sets and both distance searches, loops
-over the operators of a flat channel for the action and entanglement
-fidelity of a product, per-syndrome and per-branch loops for the pipeline
-outcome tables, the average over the 24-element rotation group for the
-Clifford twirl, one channel per collective rotation for the noiseless-qubit
-check, and the syndrome reset that re-prepares a decoded state.  Tests
-compare the package against them.
+projector products for Pauli words and codespaces, int64 sums for the
+syndromes of a generator set, the closure of a generator set under products
+for its group, one validated word at a time for the Pauli word sets and both
+distance searches, loops over the operators of a flat channel for the action
+and entanglement fidelity of a product, per-syndrome and per-branch loops for
+the pipeline outcome tables, the average over the 24-element rotation group
+for the Clifford twirl, one channel per collective rotation for the
+noiseless-qubit check, and the syndrome reset that re-prepares a decoded
+state.  Tests compare the package against them.
 """
 
 import functools
@@ -96,31 +95,6 @@ def syndrome_parity(rows: np.ndarray, generators) -> np.ndarray:
     zx = (np.frombuffer(text.encode(), dtype=np.uint8) == ord("1")).reshape(-1, 2 * n).T
     zx = zx.astype(np.int64)
     return np.array([zx[row].sum(axis=0) % 2 for row in rows]).reshape(len(rows), -1)
-
-
-def word_by_word_codespace(stab) -> CodeSubspace:
-    """codes.stabilizer_codespace with one index_map() call per generator and
-    per Z-type element: the same diagonal, pivots and Gram-Schmidt steps."""
-    n = stab.n
-    d = 2 ** n
-    keep = np.ones(d, dtype=bool)
-    for z in stab.z_type:
-        keep &= z.index_map()[1].real > 0
-    diag = keep * 2.0 ** (len(stab.z_type) - len(stab.generators))
-    maps = [g.index_map() for g in stab.generators]
-    basis = []
-    for _ in range(2 ** (n - stab.rank())):
-        j = int(np.argmax(diag))
-        c = np.zeros(d, dtype=complex)
-        c[j] = 1.0
-        for src, coef in maps:
-            c += c[src] * coef
-            c /= 2.0
-        for b in basis:
-            c -= b * (b.conj() @ c)
-        basis.append(c / np.linalg.norm(c))
-        diag -= np.abs(basis[-1]) ** 2
-    return CodeSubspace(LinearOperator((len(basis),), (2,) * n, np.column_stack(basis)))
 
 
 def projector_codespace(stab) -> CodeSubspace:

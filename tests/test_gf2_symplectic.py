@@ -12,6 +12,7 @@ from qecdesk.gf2_symplectic import (
     PauliProduct,
     SearchCapExceeded,
     StabilizerGeneratorSet,
+    _apply_words,
     identity_word,
     single_qubit_word,
 )
@@ -267,23 +268,28 @@ def test_single_qubit_word_placement():
 
 # --- the index-map action against the Kronecker chain ---------------------------
 
-phased_words = st.integers(1, 6).flatmap(lambda n: st.builds(
+phased_batches = st.integers(1, 6).flatmap(lambda n: st.lists(st.builds(
     PauliProduct, st.just(n), st.integers(0, 2 ** n - 1), st.integers(0, 2 ** n - 1),
-    st.integers(0, 3)))
+    st.integers(0, 3)), min_size=1, max_size=5))
 
 
 @settings(deadline=None, max_examples=200)
-@given(phased_words, st.integers(0, 2 ** 32 - 1))
-def test_apply_and_dense_match_the_kronecker_chain(word, seed):
+@given(phased_batches, st.integers(0, 2 ** 32 - 1))
+def test_apply_and_dense_match_the_kronecker_chain(words, seed):
+    """word.apply, and _apply_words on the whole batch at [:, i], against the
+    Kronecker chain of each phased word."""
     rng = np.random.default_rng(seed)
-    want = dense_word(word)
-    assert np.array_equal(word.dense(), want)
-    d = 2 ** word.n
+    n, d = words[0].n, 2 ** words[0].n
+    x, z, k = (np.array(v) for v in zip(*[(w.x_bits, w.z_bits, w.phase_k) for w in words]))
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     m = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
-    assert np.array_equal(word.apply(v), want @ v)
-    assert np.array_equal(word.apply(m), want @ m)
-    assert np.array_equal(word.apply(m.real), want @ m.real)
+    batched = [_apply_words(n, x, z, k, a) for a in (v, m, m.real)]
+    for i, word in enumerate(words):
+        want = dense_word(word)
+        assert np.array_equal(word.dense(), want)
+        for a, got in zip((v, m, m.real), batched):
+            assert np.array_equal(word.apply(a), want @ a)
+            assert np.array_equal(got[:, i], want @ a)
 
 
 def test_apply_refuses_a_wrong_row_count():

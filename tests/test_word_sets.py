@@ -3,9 +3,7 @@
 The word arrays, both distance searches and the weight <= N sets are checked
 against tests/oracles.py: pauli_words builds one validated PauliProduct per
 word in the same order, and first_weight judges them one at a time.  The
-kernels under them are checked too: the float32 syndromes against int64
-sums, the batched row gathers against dense words, and the codespace built
-from one batched index map against one index_map() per word.
+float32 syndromes under them are checked against int64 sums.
 """
 
 import functools
@@ -17,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_word, first_weight, pauli_words, syndrome_parity, word_by_word_codespace
+from oracles import first_weight, pauli_words, syndrome_parity
 from qecdesk import gf2_symplectic
 from qecdesk.analysis import (
     detectable_quantum,
@@ -30,7 +28,6 @@ from qecdesk.gf2_symplectic import (
     PauliProduct,
     SearchCapExceeded,
     StabilizerGeneratorSet,
-    _apply_words,
     _masks,
     _word_arrays,
     identity_word,
@@ -198,32 +195,3 @@ def test_generator_sets_from_2_to_the_23_qubits_are_refused_unbuilt(monkeypatch)
     monkeypatch.setattr(gf2_symplectic, "_word_rows", no_rows)
     with pytest.raises(ValueError, match=r"on 8388608 qubits: .* n must be below 2\^23$"):
         StabilizerGeneratorSet([PauliProduct(2 ** 23, 1, 0)])
-
-
-word_batches = st.integers(1, 5).flatmap(lambda n: st.lists(st.builds(
-    PauliProduct, st.just(n), st.integers(0, 2 ** n - 1), st.integers(0, 2 ** n - 1),
-    st.integers(0, 3)), min_size=1, max_size=6))
-
-
-@settings(deadline=None, max_examples=100)
-@given(word_batches, st.integers(0, 2 ** 32 - 1))
-def test_apply_words_matches_the_dense_words(words, seed):
-    rng = np.random.default_rng(seed)
-    n, d = words[0].n, 2 ** words[0].n
-    x, z, k = (np.array(v) for v in zip(*[(w.x_bits, w.z_bits, w.phase_k) for w in words]))
-    for m in (rng.normal(size=d) + 1j * rng.normal(size=d),
-              rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3)),
-              rng.normal(size=(d, 2))):
-        got = _apply_words(n, x, z, k, m)
-        assert got.shape == (d, len(words)) + m.shape[1:]
-        unphased = _apply_words(n, x, z, 0, m)
-        for w, g, u in zip(words, np.moveaxis(got, 1, 0), np.moveaxis(unphased, 1, 0)):
-            assert np.array_equal(g, dense_word(w) @ m)
-            assert np.array_equal(u, dense_word(w.phase_free()) @ m)
-
-
-@settings(deadline=None, max_examples=60)
-@given(generator_sets())
-def test_stabilizer_codespace_matches_one_index_map_per_word(stab):
-    got = stabilizer_codespace(stab).basis_matrix()
-    assert np.array_equal(got, word_by_word_codespace(stab).basis_matrix())
