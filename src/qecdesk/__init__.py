@@ -19,7 +19,6 @@ from .hilbert import (
     LinearOperator,
     StateVector,
     basis_state,
-    partial_trace,
     tensor,
 )
 from .channels import (
@@ -27,7 +26,6 @@ from .channels import (
     PauliChannel,
     bit_flip,
     channel_from_unitary,
-    clifford_twirl,
     collective_rotation,
     depolarizing,
     gaussian_shift,
@@ -50,8 +48,6 @@ from .codes import (
 )
 from .analysis import (
     build_noiseless_qubit,
-    commutant,
-    correctable_classical,
     correctable_quantum,
     decoder_identification,
     detectable_classical,
@@ -65,7 +61,6 @@ from .fidelity import (
     average_error_monte_carlo,
     bad_branch_error_bound,
     entanglement_fidelity,
-    error_estimate_pure,
 )
 from .pipelines import (
     PipelineReport,

@@ -58,29 +58,6 @@ def detectable_classical(code: ClassicalCode, emap: dict) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ClassicalCorrection:
-    correctable: bool
-    decode: dict | None
-    syndrome: dict | None
-
-
-def correctable_classical(code: ClassicalCode, errs: list[dict]) -> ClassicalCorrection:
-    """A set of errors is correctable when their images of distinct code words
-    never collide; the decoder then reads the unique preimage."""
-    decode = {}
-    syndrome = {}
-    for i, emap in enumerate(errs):
-        for x in code.words:
-            z = emap[x]
-            if z in decode and decode[z] != x:
-                return ClassicalCorrection(False, None, None)
-            if z not in decode:
-                decode[z] = x
-                syndrome[z] = i
-    return ClassicalCorrection(True, decode, syndrome)
-
-
 # --- quantum ------------------------------------------------------------------
 
 def _as_matrix(e) -> np.ndarray:
@@ -358,46 +335,6 @@ def weight_le_errors(n: int, max_weight: int = 1) -> list[tuple[str, np.ndarray]
     out = np.zeros((m, d, d), dtype=complex)
     out[np.arange(m)[:, None], np.arange(d), src] = coef
     return list(zip(labels, out))
-
-
-def commutant(ops, dim: int) -> list[np.ndarray]:
-    """Orthonormal Hermitian basis of everything commuting with the given ops.
-
-    Solves the stacked commutator equations by SVD and symmetrizes the
-    resulting basis; requires the input set to have a dagger-closed commutant
-    (true whenever the set itself is closed under dagger).
-    """
-    mats = [_as_matrix(o) for o in ops]
-    if not mats:
-        raise ValueError("empty operator list")
-    eye = np.eye(dim)
-    blocks = [np.kron(e, eye) - np.kron(eye, e.T) for e in mats]
-    stacked = np.vstack(blocks)
-    u, svals, vh = np.linalg.svd(stacked)
-    smax = svals.max() if svals.size else 0.0
-    null_rows = vh[svals <= max(ATOL_ALGEBRA * smax, ATOL_ALGEBRA)] if svals.size else vh
-    extra = vh[len(svals):]
-    null = np.vstack([null_rows, extra]) if extra.size else null_rows
-    raw = [v.reshape(dim, dim) for v in null]
-    candidates = []
-    for m in raw:
-        candidates.append((m + m.conj().T) / 2.0)
-        candidates.append((m - m.conj().T) / 2.0j)
-    basis: list[np.ndarray] = []
-    for c in candidates:
-        v = c.copy()
-        for b in basis:
-            v -= np.trace(b.conj().T @ v) * b
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-7:
-            basis.append(v / nrm)
-    if len(basis) != len(raw):
-        raise ValueError("commutant is not dagger-closed; symmetrization changed its dimension")
-    for b in basis:
-        for e in mats:
-            if np.abs(b @ e - e @ b).max() > 1e-7:
-                raise ValueError("commutant is not dagger-closed; symmetrized element fails to commute")
-    return basis
 
 
 def permutation_operator(src_of: tuple[int, ...]) -> np.ndarray:

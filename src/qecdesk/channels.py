@@ -563,14 +563,6 @@ class PauliChannel:
             word = PauliProduct.from_string(word)
         return self.probs.get(word.phase_free(), 0.0)
 
-    def as_kraus(self) -> KrausChannel:
-        ops = []
-        for word, p in self.probs.items():
-            if p == 0.0:
-                continue
-            ops.append((str(word), math.sqrt(p) * word.dense()))
-        return KrausChannel((2,) * self.n, tuple(ops))
-
 
 def twirl(ch: KrausChannel) -> PauliChannel:
     """Project a single-qubit channel onto its random-Pauli shadow.
@@ -589,25 +581,6 @@ def twirl(ch: KrausChannel) -> PauliChannel:
             total += abs(alpha) ** 2
         probs[word] = total
     return PauliChannel(1, probs)
-
-
-def clifford_twirl(pch: PauliChannel) -> KrausChannel:
-    """Average a Pauli channel over the 24-element rotation group.
-
-    The group permutes the X, Y and Z axes transitively, so the average
-    spreads s = p_X + p_Y + p_Z evenly over them: depolarizing with
-    p = (4/3) s, or X/Y/Z kicks of s/3 each when p > 1.
-    """
-    if pch.n != 1:
-        raise ValueError("clifford_twirl is defined for single-qubit channels")
-    s = math.fsum(pch.probability(u) for u in "XYZ")
-    p = 4.0 * s / 3.0
-    if p <= 1.0:
-        return depolarizing(p)
-    # heavier-than-uniform noise has no sqrt(1-p) branch; fall back to kicks
-    return PauliChannel(
-        1, {"I": 1.0 - s, "X": s / 3.0, "Y": s / 3.0, "Z": s / 3.0}
-    ).as_kraus()
 
 
 # keys of each channel kind, in grammar order; K and n take whole numbers,

@@ -1,5 +1,5 @@
-"""Error and fidelity metrics: overlap estimates, entanglement fidelity,
-Haar-averaged Monte Carlo error, and coarse per-branch bounds."""
+"""Error and fidelity metrics: entanglement fidelity, Haar-averaged Monte
+Carlo error, and coarse per-branch bounds."""
 
 from __future__ import annotations
 
@@ -10,29 +10,6 @@ import numpy as np
 
 from .channels import KrausChannel, _known_labels, _philox_blocks
 from .hilbert import _CHUNK_BYTES, StateVector
-
-
-@dataclass(frozen=True, eq=False)
-class ErrorEstimate:
-    """Split of an output state into gamma * reference + orthogonal error."""
-
-    gamma: complex
-    epsilon: float
-    error_term: StateVector
-
-
-def error_estimate_pure(output: StateVector, reference: StateVector) -> ErrorEstimate:
-    """Decompose output = gamma * reference + error with error orthogonal.
-
-    epsilon is the squared norm of the error term; for a normalized output it
-    equals 1 - |gamma|^2.  The output may be subnormalized (a branch).
-    """
-    if output.dims != reference.dims:
-        raise ValueError("states live on different spaces")
-    gamma = reference.overlap(output)
-    err = output.amplitudes - gamma * reference.amplitudes
-    eps = float(np.vdot(err, err).real)
-    return ErrorEstimate(gamma, eps, StateVector(output.dims, err))
 
 
 def entanglement_fidelity(ch: KrausChannel) -> float:
@@ -85,8 +62,10 @@ def average_error_monte_carlo(ch: KrausChannel, trials: int, seed: int = 0) -> M
     if trials < 1:
         raise ValueError("need at least one trial")
     d = ch.dim
-    flats = [blk.reshape(len(blk), d * d) for blk in ch.blocks]
-    chunk = max(1, _CHUNK_BYTES // (16 * max(d * d, len(flats[0]))))
+    # each block's transpose, C-contiguous: a transposed GEMM operand ran
+    # 20-30x slower for the life of some fresh 2-thread OpenBLAS processes
+    flat_ts = [np.ascontiguousarray(blk.reshape(len(blk), d * d).T) for blk in ch.blocks]
+    chunk = max(1, _CHUNK_BYTES // (16 * max(d * d, flat_ts[0].shape[1])))
     done, mean, m2 = 0, 0.0, 0.0
     for g, count in _philox_blocks(seed, trials, _MC_BLOCK):
         fid = np.zeros(count)
@@ -97,8 +76,8 @@ def average_error_monte_carlo(ch: KrausChannel, trials: int, seed: int = 0) -> M
             psi = z[..., 0] + 1j * z[..., 1]
             psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
             outer = (psi.conj()[:, :, None] * psi[:, None, :]).reshape(len(psi), d * d)
-            for flat in flats:
-                fid[start:start + len(psi)] += (np.abs(flat @ outer.T) ** 2).sum(axis=0)
+            for flat_t in flat_ts:
+                fid[start:start + len(psi)] += (np.abs(outer @ flat_t) ** 2).sum(axis=1)
         err = 1.0 - fid
         block_mean = float(err.mean())
         delta = block_mean - mean

@@ -2,9 +2,8 @@
 
 Everything here is plain numpy on explicitly-shaped dense arrays.  States and
 operators carry their subsystem dimension tuples so that tensor bookkeeping
-(partial traces, embeddings) stays honest.  Values are treated as
-immutable: operations return new objects and the backing arrays are marked
-read-only.
+stays honest.  Values are treated as immutable: operations return new
+objects and the backing arrays are marked read-only.
 """
 
 from __future__ import annotations
@@ -238,28 +237,6 @@ def tensor(*factors):
     dims = _check_dims(sum((f.dims for f in factors), ()))
     data = (f.amplitudes if kind is StateVector else f.matrix for f in factors)
     return kind(dims, functools.reduce(np.kron, data))
-
-
-def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Trace out every factor not listed in `keep` (indices into rho.dims)."""
-    keep = sorted(set(int(k) for k in keep))
-    n = len(rho.dims)
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} factors")
-    if not keep:
-        raise ValueError("must keep at least one factor")
-    t = rho.matrix.reshape(rho.dims + rho.dims)
-    traced = 0
-    for i in range(n):
-        if i in keep:
-            continue
-        ax = i - traced
-        nleft = n - traced
-        t = np.trace(t, axis1=ax, axis2=ax + nleft)
-        traced += 1
-    kept_dims = tuple(rho.dims[k] for k in keep)
-    d = math.prod(kept_dims)
-    return DensityOperator(kept_dims, t.reshape(d, d))
 
 
 def herm_eig(op: LinearOperator | np.ndarray):

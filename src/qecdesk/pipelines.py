@@ -254,13 +254,15 @@ def run_monte_carlo(
     qs, tables = _branches(ident, channel, psi, psi_enc)
     cum_q = np.cumsum(qs)
     cum_q[-1] = max(cum_q[-1], 1.0)
-    cum_d = np.cumsum(tables, axis=1)
+    # (outcomes, branches), C-contiguous: a block's gather and compare run
+    # along rows and the count sums over the short axis 0
+    cum_d_t = np.ascontiguousarray(np.cumsum(tables, axis=1).T)
     counts = np.zeros(tables.shape[1], dtype=np.int64)
     for g, count in _philox_blocks(seed, trials, _MC_BLOCK):
         u = g.random((count, 2))
         branch = np.searchsorted(cum_q, u[:, 0], side="right")
         branch = np.minimum(branch, len(qs) - 1)
-        row = (np.take(cum_d, branch, axis=0) < u[:, 1][:, None]).sum(axis=1)
+        row = (np.take(cum_d_t, branch, axis=1) < u[:, 1]).sum(axis=0)
         row = np.minimum(row, len(counts) - 1)
         counts += np.bincount(row, minlength=len(counts))
     return _report(ident, counts / float(trials), scenario, input_desc, None,

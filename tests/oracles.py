@@ -6,20 +6,20 @@ syndromes of a generator set, the closure of a generator set under products
 for its group, one validated word at a time for the Pauli word sets and both
 distance searches, loops over the operators of a flat channel for the action
 and entanglement fidelity of a product, per-syndrome and per-branch loops for
-the pipeline outcome tables, the average over the 24-element rotation group
-for the Clifford twirl, one channel per collective rotation for the
-noiseless-qubit check, and the syndrome reset that re-prepares a decoded
-state.  Tests compare the package against them.
+the pipeline outcome tables and the seeded Monte Carlo draws, one channel per
+collective rotation for the noiseless-qubit check, and the syndrome reset that
+re-prepares a decoded state.  Two have no counterpart in the package: the
+commutant of an operator set, solved by SVD, and the Kraus form of a Pauli
+channel.  Tests compare the package against them.
 """
 
-import functools
 import itertools
 import math
 
 import numpy as np
 
 from qecdesk.analysis import kl_residual
-from qecdesk.channels import KrausChannel, PauliChannel, collective_spin, depolarizing
+from qecdesk.channels import KrausChannel, PauliChannel, _philox_blocks, collective_spin
 from qecdesk.codes import CodeSubspace, SubsystemIdentification
 from qecdesk.gf2_symplectic import SearchCapExceeded, _letters_word, identity_word
 from qecdesk.hilbert import (
@@ -28,9 +28,8 @@ from qecdesk.hilbert import (
     LinearOperator,
     StateVector,
     exp_hermitian,
-    pauli,
 )
-from qecdesk.pipelines import PipelineReport
+from qecdesk.pipelines import _MC_BLOCK, PipelineReport
 
 PAULI_1Q = (
     np.eye(2, dtype=complex),
@@ -126,6 +125,13 @@ def flat_entanglement_fidelity(channel: KrausChannel) -> float:
     """sum |tr a|^2 / d^2 over the operators of KrausChannel(channel.dims, channel.ops)."""
     flat = KrausChannel(channel.dims, channel.ops)
     return sum(abs(np.trace(a)) ** 2 for _, a in flat.ops) / flat.dim ** 2
+
+
+def pauli_kraus(pch: PauliChannel) -> KrausChannel:
+    """A Pauli channel as Kraus operators: sqrt(p) times each word's matrix,
+    labeled by the word, the words of probability 0 left out."""
+    return KrausChannel((2,) * pch.n, tuple(
+        (str(word), math.sqrt(p) * word.dense()) for word, p in pch.probs.items() if p > 0.0))
 
 
 class LeakageDetected(Exception):
@@ -235,76 +241,66 @@ def branch_tables(ident: SubsystemIdentification, channel: KrausChannel,
     return rows, np.array(qs), np.vstack(dists)
 
 
-_SIGMA = {u: pauli(u).matrix for u in "IXYZ"}
+def sampled_counts(ident: SubsystemIdentification, channel: KrausChannel,
+                   psi_enc: np.ndarray, psi_in: np.ndarray, trials: int, seed: int):
+    """(rows, counts) of a seeded Monte Carlo run, one trial at a time.
 
-
-def _canonical_phase(m: np.ndarray) -> np.ndarray:
-    flat = m.reshape(-1)
-    idx = int(np.argmax(np.abs(flat) > 1e-6))
-    z = flat[idx]
-    return m * (z.conjugate() / abs(z))
-
-
-@functools.cache
-def rotation_group() -> list[np.ndarray]:
-    """The 24 single-qubit rotations generated by 90-degree x/y/z turns."""
-    # quarter turns exp(-i sigma_u pi/4) around each axis generate all 24
-    gens = [
-        exp_hermitian(pauli(u), math.pi / 4.0).matrix for u in "XYZ"
-    ]
-    def key(m):
-        c = _canonical_phase(m)
-        return tuple(np.round(c.reshape(-1), 9).view(float))
-    seen = {key(np.eye(2, dtype=complex)): np.eye(2, dtype=complex)}
-    frontier = [np.eye(2, dtype=complex)]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = g @ m
-                k = key(p)
-                if k not in seen:
-                    seen[k] = _canonical_phase(p)
-                    nxt.append(p)
-        frontier = nxt
-    group = list(seen.values())
-    if len(group) != 24:
-        raise RuntimeError(f"rotation group closure found {len(group)} elements")
-    return group
-
-
-def group_average_twirl(pch: PauliChannel) -> KrausChannel:
-    """Average a Pauli channel over the 24-element rotation group.
-
-    The average equalizes the three non-identity probabilities, so the result
-    is depolarizing with p = (4/3)(p_X + p_Y + p_Z).
+    Each trial takes (u0, u1) from the seed's Philox block stream, as
+    pipelines.run_monte_carlo does.  Its branch is the first whose cumulative
+    mass exceeds u0 (the last if none does), and its outcome is the number of
+    that branch's cumulative outcome probabilities below u1, capped at the
+    fail row.  Rows and tables come from branch_tables.
     """
-    if pch.n != 1:
-        raise ValueError("clifford_twirl is defined for single-qubit channels")
-    p_in = {u: pch.probability(u) for u in "IXYZ"}
-    acc = {u: 0.0 for u in "XYZ"}
-    group = rotation_group()
-    for r in group:
-        for v in "XYZ":
-            conj = r @ _SIGMA[v] @ r.conj().T
-            for u in "XYZ":
-                c = np.trace(_SIGMA[u] @ conj) / 2.0
-                if abs(abs(c) - 1.0) < 1e-9:
-                    acc[u] += p_in[v] / len(group)
-                    break
-            else:
-                raise RuntimeError("rotation did not permute the Pauli axes")
-    s = math.fsum(acc.values())
-    spread = max(acc.values()) - min(acc.values())
-    if spread > 1e-12:
-        raise RuntimeError(f"group average left spread {spread}")
-    p = 4.0 * s / 3.0
-    if p <= 1.0:
-        return depolarizing(p)
-    # heavier-than-uniform noise has no sqrt(1-p) branch; fall back to kicks
-    return PauliChannel(
-        1, {"I": 1.0 - s, "X": s / 3.0, "Y": s / 3.0, "Z": s / 3.0}
-    ).as_kraus()
+    rows, qs, dists = branch_tables(ident, channel, psi_enc, psi_in)
+    cum_q = np.cumsum(qs)
+    counts = np.zeros(len(rows), dtype=np.int64)
+    for g, count in _philox_blocks(seed, trials, _MC_BLOCK):
+        for u0, u1 in g.random((count, 2)):
+            above = np.flatnonzero(cum_q > u0)
+            branch = above[0] if above.size else len(qs) - 1
+            thresholds = np.cumsum(dists[branch])
+            counts[min(int((thresholds < u1).sum()), len(rows) - 1)] += 1
+    return rows, counts
+
+
+def commutant(ops, dim: int) -> list[np.ndarray]:
+    """Orthonormal Hermitian basis of everything commuting with the given ops.
+
+    Solves the stacked commutator equations by SVD and symmetrizes the
+    resulting basis; requires the input set to have a dagger-closed commutant
+    (true whenever the set itself is closed under dagger).
+    """
+    mats = [np.asarray(o, dtype=complex) for o in ops]
+    if not mats:
+        raise ValueError("empty operator list")
+    eye = np.eye(dim)
+    blocks = [np.kron(e, eye) - np.kron(eye, e.T) for e in mats]
+    stacked = np.vstack(blocks)
+    u, svals, vh = np.linalg.svd(stacked)
+    smax = svals.max() if svals.size else 0.0
+    null_rows = vh[svals <= max(ATOL_ALGEBRA * smax, ATOL_ALGEBRA)] if svals.size else vh
+    extra = vh[len(svals):]
+    null = np.vstack([null_rows, extra]) if extra.size else null_rows
+    raw = [v.reshape(dim, dim) for v in null]
+    candidates = []
+    for m in raw:
+        candidates.append((m + m.conj().T) / 2.0)
+        candidates.append((m - m.conj().T) / 2.0j)
+    basis: list[np.ndarray] = []
+    for c in candidates:
+        v = c.copy()
+        for b in basis:
+            v -= np.trace(b.conj().T @ v) * b
+        nrm = np.linalg.norm(v)
+        if nrm > 1e-7:
+            basis.append(v / nrm)
+    if len(basis) != len(raw):
+        raise ValueError("commutant is not dagger-closed; symmetrization changed its dimension")
+    for b in basis:
+        for e in mats:
+            if np.abs(b @ e - e @ b).max() > 1e-7:
+                raise ValueError("commutant is not dagger-closed; symmetrized element fails to commute")
+    return basis
 
 
 def collective_rotation(v: tuple[float, float, float], n: int = 3) -> KrausChannel:

@@ -10,12 +10,7 @@ import pytest
 
 from conftest import rand_density, rand_state, rand_unitary
 import oracles
-from oracles import (
-    flat_apply_matrix,
-    flat_entanglement_fidelity,
-    group_average_twirl,
-    rotation_group,
-)
+from oracles import flat_apply_matrix, flat_entanglement_fidelity, pauli_kraus
 import qecdesk.channels as channels_module
 from qecdesk.analysis import (
     correctable_quantum,
@@ -31,7 +26,6 @@ from qecdesk.channels import (
     _gram,
     bit_flip,
     channel_from_unitary,
-    clifford_twirl,
     collective_rotation,
     collective_rotations,
     collective_spin,
@@ -446,7 +440,7 @@ def test_tensor_channels_block_layout():
     assert_same_channel(nested, kron_chain(*[depolarizing(0.1)] * 4, bit_flip(0.2)))
     # a flat factor that itself spans several blocks: 200 operators of 32 x 32
     words = ["".join(w) for w in itertools.islice(itertools.product("IXYZ", repeat=5), 200)]
-    paulis = PauliChannel(5, {w: 1 / 200 for w in words}).as_kraus()
+    paulis = pauli_kraus(PauliChannel(5, {w: 1 / 200 for w in words}))
     assert [len(b) for b in paulis.blocks] == [64, 64, 64, 8]
     for factors in ((bit_flip(0.2), paulis), (paulis, bit_flip(0.2))):
         assert_same_channel(tensor_channels(*factors), kron_chain(*factors))
@@ -792,7 +786,7 @@ def test_pauli_channel_refuses_a_word_given_twice_up_to_phase():
 
 def test_pauli_channel_round_trip_through_kraus():
     ch = PauliChannel(1, {"I": 0.7, "X": 0.1, "Y": 0.05, "Z": 0.15})
-    back = twirl(ch.as_kraus())
+    back = twirl(pauli_kraus(ch))
     for u in "IXYZ":
         assert back.probability(u) == pytest.approx(ch.probability(u), abs=1e-12)
 
@@ -836,7 +830,7 @@ def test_twirl_matches_conjugation_average_oracle():
     rng = np.random.default_rng(15)
     for _ in range(5):
         ch = rand_channel(rng, 2)
-        t = twirl(ch).as_kraus()
+        t = pauli_kraus(twirl(ch))
         for m in (SIGMA["I"] / 2, SIGMA["X"], SIGMA["Y"], SIGMA["Z"],
                   rand_density(rng, 2)):
             avg = sum(
@@ -861,55 +855,6 @@ def test_twirl_is_invariant_under_label_remix():
     t2 = twirl(remix_labels(ch, u))
     for w in "IXYZ":
         assert t1.probability(w) == pytest.approx(t2.probability(w), abs=1e-10)
-
-
-def test_rotation_group_has_24_unitaries():
-    group = rotation_group()
-    assert len(group) == 24
-    for m in group:
-        assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-10)
-
-
-def test_clifford_twirl_gives_depolarizing():
-    pch = PauliChannel(1, {"I": 0.8, "X": 0.15, "Y": 0.03, "Z": 0.02})
-    out = clifford_twirl(pch)
-    s = 0.2
-    want = depolarizing(4 * s / 3)
-    rng = np.random.default_rng(18)
-    rho = rand_density(rng, 2)
-    assert np.allclose(out.apply_matrix(rho), want.apply_matrix(rho), atol=1e-10)
-    t = twirl(out)
-    for u in "XYZ":
-        assert t.probability(u) == pytest.approx(s / 3, abs=1e-12)
-
-
-def test_clifford_twirl_heavy_noise_falls_back_to_kicks():
-    pch = PauliChannel(1, {"I": 0.1, "X": 0.9})
-    out = clifford_twirl(pch)
-    t = twirl(out)
-    for u in "XYZ":
-        assert t.probability(u) == pytest.approx(0.3, abs=1e-12)
-    assert t.probability("I") == pytest.approx(0.1, abs=1e-12)
-
-
-@pytest.mark.parametrize("probs", [
-    {"I": 1.0},
-    {"I": 0.8, "X": 0.15, "Y": 0.03, "Z": 0.02},
-    {"I": 0.5, "Z": 0.5},
-    {"I": 0.25, "X": 0.25, "Y": 0.25, "Z": 0.25},
-    {"I": 0.1, "X": 0.9},
-    {"X": 0.2, "Y": 0.3, "Z": 0.5},
-])
-def test_clifford_twirl_matches_the_group_average(probs):
-    """The closed form equals the average over the 24 rotations, the
-    heavy-noise (p > 1) fallback to X/Y/Z kicks included.  The channels are
-    compared by their Pauli probabilities: at p = 1 the sqrt(1 - p) operator
-    turns a rounding of 1e-16 into 1e-8."""
-    pch = PauliChannel(1, probs)
-    got, want = clifford_twirl(pch), group_average_twirl(pch)
-    assert got.labels() == want.labels()
-    for u in "IXYZ":
-        assert abs(twirl(got).probability(u) - twirl(want).probability(u)) <= 1e-15
 
 
 def test_identity_channel_is_identity():

@@ -1,4 +1,4 @@
-"""Error estimates, entanglement fidelity, Monte Carlo averages, branch bounds."""
+"""Entanglement fidelity, Monte Carlo averages, branch bounds."""
 
 import math
 import tracemalloc
@@ -24,38 +24,14 @@ from qecdesk.fidelity import (
     bad_branch_error_bound,
     bad_branch_probability,
     entanglement_fidelity,
-    error_estimate_pure,
 )
 from qecdesk.hilbert import LinearOperator, StateVector, basis_state
-
-PLUS = StateVector((2,), np.array([1.0, 1.0]) / math.sqrt(2))
-
 
 def rand_channel(rng, d, env=3):
     u = LinearOperator((env, d), (env, d), rand_unitary(rng, env * d))
     init = StateVector((env,), np.eye(env)[0].astype(complex))
     basis = [StateVector((env,), np.eye(env)[i].astype(complex)) for i in range(env)]
     return channel_from_unitary(u, init, basis)
-
-
-def test_error_estimate_orthogonal_split():
-    out = basis_state((2,), 1)
-    est = error_estimate_pure(out, PLUS)
-    assert est.gamma == pytest.approx(1 / math.sqrt(2))
-    assert est.epsilon == pytest.approx(0.5)
-    # the pieces reassemble and the error term is orthogonal to the reference
-    rebuilt = est.gamma * PLUS.amplitudes + est.error_term.amplitudes
-    assert np.allclose(rebuilt, out.amplitudes, atol=1e-15)
-    assert abs(np.vdot(PLUS.amplitudes, est.error_term.amplitudes)) < 1e-15
-
-
-def test_error_estimate_subnormalized_branch():
-    # branches carry their probability amplitude; epsilon = |out|^2 - |gamma|^2
-    out = StateVector((2,), np.array([0.0, 0.3]))
-    est = error_estimate_pure(out, PLUS)
-    assert est.epsilon == pytest.approx(0.09 - abs(est.gamma) ** 2)
-    with pytest.raises(ValueError):
-        error_estimate_pure(basis_state((3,), 0), PLUS)
 
 
 def test_entanglement_fidelity_depolarizing():

@@ -24,7 +24,6 @@ from qecdesk.hilbert import (
     from_json_array,
     herm_eig,
     identity,
-    partial_trace,
     pauli,
     tensor,
     to_json_array,
@@ -195,35 +194,6 @@ def test_products_are_admitted_before_the_kronecker_chain():
         finally:
             tracemalloc.stop()
         assert peak <= 2 ** 20
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(1)
-    a = rand_density(rng, 2)
-    b = rand_density(rng, 3)
-    rho = DensityOperator((2, 3), np.kron(a, b))
-    assert np.allclose(partial_trace(rho, [0]).matrix, a, atol=1e-12)
-    assert np.allclose(partial_trace(rho, [1]).matrix, b, atol=1e-12)
-
-
-def test_partial_trace_bell_state():
-    bell = StateVector((2, 2), np.array([1, 0, 0, 1]) / math.sqrt(2))
-    rho = bell.density()
-    for keep in ([0], [1]):
-        red = partial_trace(rho, keep)
-        assert np.allclose(red.matrix, np.eye(2) / 2, atol=1e-12)
-
-
-def test_partial_trace_three_factors():
-    rng = np.random.default_rng(2)
-    mats = [rand_density(rng, d) for d in (2, 2, 3)]
-    rho = DensityOperator((2, 2, 3), np.kron(np.kron(mats[0], mats[1]), mats[2]))
-    red = partial_trace(rho, [0, 2])
-    assert np.allclose(red.matrix, np.kron(mats[0], mats[2]), atol=1e-12)
-    with pytest.raises(ValueError):
-        partial_trace(rho, [])
-    with pytest.raises(ValueError):
-        partial_trace(rho, [3])
 
 
 def test_herm_eig_sorted_and_guarded():

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import rand_state, rand_unitary
-from oracles import branch_tables, logical_matrix, syndrome_loop_run, syndrome_reset
+from oracles import (
+    branch_tables,
+    logical_matrix,
+    sampled_counts,
+    syndrome_loop_run,
+    syndrome_reset,
+)
 from qecdesk.analysis import (
     correctable_quantum,
     decoder_identification,
@@ -389,6 +395,20 @@ def test_branch_tables_match_the_per_branch_oracle(name):
         mc = run_monte_carlo(ident, noise, psi, trials=100, seed=1, code=code)
         listed = rows if not ident.is_complete() else rows[:-1]
         assert [(s, l) for s, l, _ in mc.outcomes] == listed
+
+
+@pytest.mark.parametrize("name", ["cyclic7/gaussian7", "five/identification"])
+def test_monte_carlo_draws_match_the_per_trial_oracle(name):
+    """Seeded counts against one trial at a time on the per-branch tables:
+    41 and 3,125 branches, 9,000 trials across two Philox blocks."""
+    ident, noise, code = table_case(name)
+    for psi, enc in table_inputs(ident, code, 59):
+        rows, counts = sampled_counts(ident, noise, enc, psi.amplitudes, 9000, 4)
+        mc = run_monte_carlo(ident, noise, psi, trials=9000, seed=4, code=code)
+        want = {(s, l): c / 9000.0 for (s, l), c in zip(rows, counts)}
+        assert [(s, l, p) for s, l, p in mc.outcomes] == \
+            [(s, l, want[s, l]) for s, l, _ in mc.outcomes]
+        assert mc.metrics["fail"] == want["fail", ""]
 
 
 @pytest.mark.parametrize("name", ["repetition3/bitflip^3", "cyclic7/gaussian7",
