@@ -60,14 +60,6 @@ def detectable_classical(code: ClassicalCode, emap: dict) -> bool:
 
 # --- quantum ------------------------------------------------------------------
 
-def _as_matrix(e) -> np.ndarray:
-    if isinstance(e, LinearOperator):
-        return e.matrix
-    if isinstance(e, PauliProduct):
-        return e.dense()
-    return np.asarray(e, dtype=complex)
-
-
 @dataclass(frozen=True, eq=False)
 class DetectVerdict:
     detectable: bool
@@ -114,7 +106,7 @@ def _checked(e, d: int, label: str):
     if isinstance(e, PauliProduct):
         shape = (2 ** e.n,) * 2 if e.n <= 64 else (f"2^{e.n}",) * 2
     else:
-        e = _as_matrix(e)
+        e = np.asarray(e.matrix if isinstance(e, LinearOperator) else e, dtype=complex)
         shape = e.shape
     if shape != (d, d):
         raise ValueError(f"error {label} has shape {shape}, but the code needs {(d, d)}")

@@ -290,7 +290,9 @@ class KrausChannel:
     @functools.cached_property
     def _superoperator(self) -> np.ndarray:
         """S[a, b, c, e] = sum_k A_k[a, c] conj(A_k[b, e]), so that
-        sum_k A_k m A_k^dag = sum_(c, e) S[:, :, c, e] m[c, e]."""
+        sum_k A_k m A_k^dag = sum_(c, e) S[:, :, c, e] m[c, e]; its d^4
+        entries are admitted first."""
+        admit(f"superoperator of a {self.dim}-dimensional factor", nbytes=16 * self.dim ** 4)
         return sum(np.einsum("kac,kbe->abce", blk, blk.conj()) for blk in self.blocks)
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
@@ -395,7 +397,7 @@ def collective_rotations(vs, n: int = 3) -> np.ndarray:
         raise ValueError(f"rotation vectors need shape (R, 3), got {vs.shape}")
     jx, jy, jz = (collective_spin(u, n).matrix for u in "XYZ")
     h = vs[:, 0, None, None] * jx + vs[:, 1, None, None] * jy + vs[:, 2, None, None] * jz
-    return exp_hermitian(h, 1.0)
+    return exp_hermitian(h)
 
 
 def collective_rotation(v: tuple[float, float, float], n: int = 3) -> KrausChannel:

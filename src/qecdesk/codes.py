@@ -113,7 +113,8 @@ class SubsystemIdentification:
         """C psi: a logical state with the syndrome in its base value."""
         if logical.dims != (self.logical_dim,):
             raise ValueError(f"logical state must have dim {self.logical_dim}")
-        return self.code_subspace.isometry.apply(logical)
+        return StateVector(self.physical_dims,
+                           self.code_subspace.basis_matrix() @ logical.amplitudes)
 
     def subsystem_matrix(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
         """(W^dag rho W, leakage mass); the first factor is syndrome-major."""

@@ -39,10 +39,6 @@ class MonteCarloEstimate:
     trials: int
     seed: int
 
-    @property
-    def ci95(self) -> float:
-        return 1.96 * self.std_error
-
 
 _MC_BLOCK = 1024
 

@@ -15,7 +15,7 @@ so a product is a few popcounts, with no loop over the qubits:
 
 Two words commute exactly when |x1 & z2| + |z1 & x2| is even.  All group
 arithmetic here is integer-exact, including phases.  A word acts on a vector
-as a signed row gather (`index_map`), so neither the analysis nor the
+as a signed row gather (`_index_maps`), so neither the analysis nor the
 codespace build needs its dense matrix.
 
 A set of words is one array form: boolean rows [X | Z], qubit j in columns
@@ -37,6 +37,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .hilbert import admit
 
 _SYMBOLS = "IXYZ"
 # (x, z) bits of each letter; Y = iXZ carries both
@@ -97,10 +99,6 @@ class PauliProduct:
         word = "".join(_SYMBOLS[self.symbol(j)] for j in range(self.n))
         return _PHASE_TOKEN[self.phase_k] + word
 
-    @property
-    def phase(self) -> complex:
-        return (1, 1j, -1, -1j)[self.phase_k]
-
     def phase_free(self) -> "PauliProduct":
         return PauliProduct(self.n, self.x_bits, self.z_bits, 0)
 
@@ -125,28 +123,14 @@ class PauliProduct:
         x = (self.x_bits & other.z_bits) ^ (self.z_bits & other.x_bits)
         return x.bit_count() % 2 == 0
 
-    def _arrays(self):
-        return np.array([self.x_bits]), np.array([self.z_bits]), self.phase_k
-
-    def index_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """(src, coef) with (P v)[i] = coef[i] * v[src[i]], qubit 0 the most
-        significant bit of i: src = i ^ x, and coef = i^(phase_k + y) signed by
-        (-1)^|src & z|."""
-        src, coef = _index_maps(self.n, *self._arrays())
-        return src[0], coef[0]
-
-    def apply(self, m) -> np.ndarray:
-        """P m for a vector or the columns of a matrix: a row gather with a sign."""
-        m = np.asarray(m)
-        if m.shape[:1] != (2 ** self.n,):
-            raise ValueError(f"{self} acts on {2 ** self.n} rows, got shape {m.shape}")
-        return _apply_words(self.n, *self._arrays(), m)[:, 0]
-
     def dense(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix, qubit 0 as the most significant factor."""
-        src, coef = self.index_map()
+        """Dense 2^n x 2^n matrix, qubit 0 as the most significant factor,
+        admitted by its dimension before anything is built."""
+        admit(f"dense Pauli word on {self.n} qubits", dim=(2, self.n))
+        src, coef = _index_maps(self.n, np.array([self.x_bits]), np.array([self.z_bits]),
+                                self.phase_k)
         m = np.zeros((src.size, src.size), dtype=complex)
-        m[np.arange(src.size), src] = coef
+        m[np.arange(src.size), src[0]] = coef[0]
         return m
 
 
@@ -186,8 +170,8 @@ def _sources(n: int, x: np.ndarray, z: np.ndarray, k) -> tuple[np.ndarray, np.nd
 
 
 def _index_maps(n: int, x: np.ndarray, z: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
-    """index_map of every word of _sources, stacked: src and coef are
-    (len(x), 2^n)."""
+    """(src, coef) of every word of _sources, stacked as (len(x), 2^n)
+    arrays: (P_i v)[j] = coef[i, j] * v[src[i, j]]."""
     src, q = _sources(n, x, z, k)
     return src.T, np.take(_PHASES, q.T)
 

@@ -96,19 +96,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if not n >= ATOL_ALGEBRA:
-            raise ValueError(f"cannot normalize a vector of norm {n}")
-        return StateVector(self.dims, self.amplitudes / n)
-
-    def overlap(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def density(self) -> "DensityOperator":
-        return DensityOperator(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
-
 
 def basis_state(dims: tuple[int, ...], index: int) -> StateVector:
     """Computational basis vector |index> on the given factor dimensions."""
@@ -138,10 +125,6 @@ class DensityOperator:
             raise ValueError(f"density matrix trace {np.trace(m)} != 1")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def min_eigenvalue(self) -> float:
         """NaN for a matrix with a non-finite entry, where eigvalsh can return
@@ -176,22 +159,6 @@ class LinearOperator:
         object.__setattr__(self, "dims_out", dout)
         object.__setattr__(self, "matrix", m)
 
-    def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        if other.dims_out != self.dims_in:
-            raise ValueError("operator dimensions do not compose")
-        return LinearOperator(other.dims_in, self.dims_out, self.matrix @ other.matrix)
-
-    def apply(self, state: StateVector) -> StateVector:
-        if state.dims != self.dims_in:
-            raise ValueError(f"state dims {state.dims} != operator input {self.dims_in}")
-        return StateVector(self.dims_out, self.matrix @ state.amplitudes)
-
-    def conjugate(self, rho: DensityOperator) -> DensityOperator:
-        """A rho A^dagger, for square trace-preserving conjugations."""
-        if rho.dims != self.dims_in:
-            raise ValueError(f"density dims {rho.dims} do not match operator input {self.dims_in}")
-        return DensityOperator(self.dims_out, self.matrix @ rho.matrix @ self.matrix.conj().T)
-
     def is_unitary(self) -> bool:
         return self.matrix.shape[0] == self.matrix.shape[1] and self.is_isometry()
 
@@ -199,11 +166,6 @@ class LinearOperator:
         """A^dag A = I to ATOL_ALGEBRA."""
         d = self.matrix.shape[1]
         return bool(np.abs(self.matrix.conj().T @ self.matrix - np.eye(d)).max() <= ATOL_ALGEBRA)
-
-
-def identity(dims: tuple[int, ...]) -> LinearOperator:
-    d = math.prod(dims)
-    return LinearOperator(dims, dims, np.eye(d, dtype=complex))
 
 
 _PAULI = {
@@ -221,41 +183,30 @@ def pauli(u: str) -> LinearOperator:
     return LinearOperator((2,), (2,), _PAULI[u])
 
 
-def tensor(*factors):
-    """Kronecker product of states or operators, first factor most significant,
+def tensor(*factors: LinearOperator) -> LinearOperator:
+    """Kronecker product of operators, first factor most significant,
     admitted by its dimensions before the first np.kron."""
     if not factors:
         raise ValueError("tensor of nothing")
-    kind = type(factors[0])
-    if kind not in (StateVector, DensityOperator, LinearOperator) or \
-            not all(isinstance(f, kind) for f in factors):
-        raise TypeError("tensor factors must all be states, densities, or operators")
-    if kind is LinearOperator:
-        din = _check_dims(sum((f.dims_in for f in factors), ()))
-        dout = _check_dims(sum((f.dims_out for f in factors), ()))
-        return LinearOperator(din, dout, functools.reduce(np.kron, (f.matrix for f in factors)))
-    dims = _check_dims(sum((f.dims for f in factors), ()))
-    data = (f.amplitudes if kind is StateVector else f.matrix for f in factors)
-    return kind(dims, functools.reduce(np.kron, data))
+    din = _check_dims(sum((f.dims_in for f in factors), ()))
+    dout = _check_dims(sum((f.dims_out for f in factors), ()))
+    return LinearOperator(din, dout, functools.reduce(np.kron, (f.matrix for f in factors)))
 
 
-def herm_eig(op: LinearOperator | np.ndarray):
-    """Eigendecomposition, eigenvalues ascending, of a Hermitian operator or
-    of each matrix of an (..., d, d) stack; one bad matrix refuses them all."""
-    m = op.matrix if isinstance(op, LinearOperator) else np.asarray(op, dtype=complex)
+def herm_eig(m: np.ndarray):
+    """Eigendecomposition, eigenvalues ascending, of each Hermitian matrix of
+    an (..., d, d) stack; one bad matrix refuses them all."""
+    m = np.asarray(m, dtype=complex)
     if not np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0) <= ATOL_ALGEBRA:
         raise ValueError("operator is not Hermitian")
     return np.linalg.eigh(m)
 
 
-def exp_hermitian(op: LinearOperator | np.ndarray, t: float = 1.0):
-    """exp(-i H t) for Hermitian H, physics sign convention: an operator for
-    an operator, and for an (..., d, d) stack of H the stack of exponentials."""
-    w, v = herm_eig(op)
-    m = (v * np.exp(-1j * w * t)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    if isinstance(op, LinearOperator):
-        return LinearOperator(op.dims_in, op.dims_out, m)
-    return m
+def exp_hermitian(h: np.ndarray) -> np.ndarray:
+    """exp(-i H) for each Hermitian H of an (..., d, d) stack, physics sign
+    convention."""
+    w, v = herm_eig(h)
+    return (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def to_json_array(a: np.ndarray) -> list:

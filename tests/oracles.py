@@ -312,8 +312,7 @@ def collective_rotation(v: tuple[float, float, float], n: int = 3) -> KrausChann
         + vy * collective_spin("Y", n).matrix
         + vz * collective_spin("Z", n).matrix
     )
-    u = exp_hermitian(LinearOperator((2,) * n, (2,) * n, h), 1.0)
-    return KrausChannel((2,) * n, (("rot", u.matrix),))
+    return KrausChannel((2,) * n, (("rot", exp_hermitian(h)),))
 
 
 def rotation_loop(wb: np.ndarray, rotations: int, seed: int) -> tuple[float, float]:

@@ -49,7 +49,7 @@ from qecdesk.gf2_symplectic import (
     StabilizerGeneratorSet,
     single_qubit_word,
 )
-from qecdesk.hilbert import ATOL_ALGEBRA, StateVector
+from qecdesk.hilbert import ATOL_ALGEBRA, LinearOperator, StateVector
 from qecdesk.pipelines import run_corrected
 
 STEANE = ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"]
@@ -487,6 +487,20 @@ def test_weight_le_words_match_the_dense_errors():
     assert weight_le_count(5, 10 ** 30) == 4 ** 5  # weights past n stop at n
     for (label, word), (dlabel, e) in zip(words, weight_le_errors(4, 2)):
         assert label == dlabel and np.array_equal(dense_word(word), e)
+
+
+def test_linear_operator_errors_are_checked_as_their_matrices():
+    five = five_qubit()[1]
+    errors = weight_le_errors(5, 1)
+    ops = [(label, LinearOperator((2,) * 5, (2,) * 5, e)) for label, e in errors]
+    for (_, e), (_, op) in zip(errors, ops):
+        a, b = detectable_quantum(five, e), detectable_quantum(five, op)
+        assert (a.detectable, a.lam, a.residual) == (b.detectable, b.lam, b.residual)
+    a, b = correctable_quantum(five, errors), correctable_quantum(five, ops)
+    assert (a.labels, a.rank, a.residual) == (b.labels, b.rank, b.residual)
+    assert np.array_equal(a.lambda_matrix, b.lambda_matrix)
+    with pytest.raises(ValueError, match=r"error E has shape \(4, 4\)"):
+        detectable_quantum(five, LinearOperator((4,), (4,), np.eye(4)))
 
 
 def test_error_counts_are_refused_before_the_kernel_allocates():

@@ -112,7 +112,7 @@ def test_depolarizing_action_formula():
 
 
 def test_depolarizing_half_on_ground_state():
-    out = depolarizing(0.5).apply(basis_state((2,), 0).density())
+    out = depolarizing(0.5).apply(DensityOperator((2,), np.diag([1.0, 0.0])))
     assert np.allclose(out.matrix, np.diag([0.75, 0.25]), atol=1e-12)
 
 
@@ -535,6 +535,23 @@ def test_product_bytes_are_capped(monkeypatch):
     with pytest.raises(ValueError, match="64 operators of dimension 64: byte count 4194304 "
                                          "exceeds cap MAX_KRAUS_BYTES=1048576"):
         tensor_independent(bit_flip(0.1), 6)
+
+
+def test_factor_superoperators_are_admitted_before_building(monkeypatch):
+    """A 32-dimensional factor's superoperator is 32^4 entries (16 MiB); with
+    the cap at 1 MiB, applying the product is refused before it is built."""
+    monkeypatch.setattr("qecdesk.hilbert.MAX_KRAUS_BYTES", 2 ** 20)
+    ch = tensor_channels(identity_channel((32,)), bit_flip(0.1))
+    psi = np.zeros(64, dtype=complex)
+    psi[0] = 1.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="byte count 16777216 exceeds cap MAX_KRAUS_BYTES"):
+            ch.apply_pure(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
 
 
 def test_product_build_keeps_temporaries_small():

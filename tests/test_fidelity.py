@@ -160,7 +160,6 @@ def test_monte_carlo_matches_closed_form():
     want = average_error_from_entanglement(1 - entanglement_fidelity(ch), 1)
     est = average_error_monte_carlo(ch, trials=20000, seed=1)
     assert abs(est.mean - want) < 4 * est.std_error + 1e-12
-    assert est.ci95 == pytest.approx(1.96 * est.std_error)
 
 
 def test_monte_carlo_two_qubit_channel():

@@ -32,7 +32,7 @@ def test_parse_and_print_round_trip():
         assert PauliProduct.from_string(str(w)) == w
     assert str(PauliProduct.from_string("XYZ")) == "XYZ"
     assert str(PauliProduct.from_string("iX")) == "+iX"
-    assert PauliProduct.from_string("-iZZ").phase == -1j
+    assert PauliProduct.from_string("-iZZ").phase_k == 3
 
 
 def test_parse_rejects_garbage():
@@ -85,7 +85,7 @@ def test_weight_and_phase_free():
     w = PauliProduct.from_string("-iXIYZI")
     assert w.weight() == 3
     assert w.phase_free() == PauliProduct.from_string("XIYZI")
-    assert w.phase_free().phase == 1
+    assert w.phase_free().phase_k == 0
 
 
 def test_commutes_matches_dense_commutator():
@@ -276,7 +276,7 @@ phased_batches = st.integers(1, 6).flatmap(lambda n: st.lists(st.builds(
 @settings(deadline=None, max_examples=200)
 @given(phased_batches, st.integers(0, 2 ** 32 - 1))
 def test_apply_and_dense_match_the_kronecker_chain(words, seed):
-    """word.apply, and _apply_words on the whole batch at [:, i], against the
+    """word.dense, and _apply_words on the whole batch at [:, i], against the
     Kronecker chain of each phased word."""
     rng = np.random.default_rng(seed)
     n, d = words[0].n, 2 ** words[0].n
@@ -288,10 +288,12 @@ def test_apply_and_dense_match_the_kronecker_chain(words, seed):
         want = dense_word(word)
         assert np.array_equal(word.dense(), want)
         for a, got in zip((v, m, m.real), batched):
-            assert np.array_equal(word.apply(a), want @ a)
             assert np.array_equal(got[:, i], want @ a)
 
 
-def test_apply_refuses_a_wrong_row_count():
-    with pytest.raises(ValueError, match="acts on 8 rows"):
-        PauliProduct.from_string("XYZ").apply(np.ones((4, 2)))
+def test_dense_is_admitted_by_dimension():
+    """11 qubits would be 2048 x 2048 (64 MiB) and 10^6 qubits an index
+    array of 2^(10^6) entries; both are refused before anything is built."""
+    for n in (11, 10 ** 6):
+        with pytest.raises(ValueError, match="dimension .* exceeds cap MAX_TOTAL_DIM"):
+            PauliProduct(n, 1, 0).dense()
