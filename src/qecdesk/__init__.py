@@ -19,7 +19,6 @@ from .hilbert import (
     LinearOperator,
     StateVector,
     basis_state,
-    tensor,
 )
 from .channels import (
     KrausChannel,

@@ -21,7 +21,7 @@ from .gf2_symplectic import (
     PauliProduct,
     SearchCapExceeded,
     _apply_words,
-    _index_maps,
+    _dense_words,
     _masks,
     _word_arrays,
 )
@@ -322,11 +322,7 @@ def weight_le_errors(n: int, max_weight: int = 1) -> list[tuple[str, np.ndarray]
     admit(f"dense weight-{max_weight} errors on {n} qubits",
           nbytes=weight_le_count(n, max_weight) * 4 ** n * 16)
     labels, x, z = _weight_le_arrays(n, max_weight)
-    src, coef = _index_maps(n, _masks(x), _masks(z), 0)
-    m, d = src.shape
-    out = np.zeros((m, d, d), dtype=complex)
-    out[np.arange(m)[:, None], np.arange(d), src] = coef
-    return list(zip(labels, out))
+    return list(zip(labels, _dense_words(n, _masks(x), _masks(z), 0)))
 
 
 def permutation_operator(src_of: tuple[int, ...]) -> np.ndarray:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2_symplectic import PauliProduct
+from .gf2_symplectic import PauliProduct, single_qubit_word
 from .hilbert import (
     _CHUNK_BYTES,
     ATOL_ALGEBRA,
@@ -48,11 +48,9 @@ from .hilbert import (
     _check_dims,
     admit,
     exp_hermitian,
-    pauli,
-    tensor,
 )
 
-_SIGMA = {u: pauli(u).matrix for u in "IXYZ"}
+_SIGMA = {u: PauliProduct.from_string(u).dense() for u in "IXYZ"}
 
 
 def _block_len(d: int) -> int:
@@ -382,10 +380,7 @@ def gaussian_shift_probabilities(K: int = 20) -> dict[int, float]:
 @functools.cache
 def collective_spin(u: str, n: int = 3) -> LinearOperator:
     """J_u = (1/2) sum of sigma_u over all n spins; built once per (u, n)."""
-    terms = []
-    for i in range(n):
-        factors = [pauli(u) if j == i else pauli("I") for j in range(n)]
-        terms.append(tensor(*factors).matrix)
+    terms = [single_qubit_word(n, j, u).dense() for j in range(n)]
     return LinearOperator((2,) * n, (2,) * n, 0.5 * sum(terms))
 
 

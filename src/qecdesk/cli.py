@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, channels, codes, pipelines
 from .gf2_symplectic import PauliProduct, SearchCapExceeded, identity_word, single_qubit_word
-from .hilbert import ATOL_ALGEBRA, StateVector, basis_state
+from .hilbert import ATOL_ALGEBRA, StateVector, basis_state, vector_from_json
 
 USAGE_EXIT = 64
 
@@ -146,19 +146,14 @@ def _parse_input(token: str, dim: int) -> StateVector:
         if token.isdecimal() and int(token) < dim:
             return basis_state((dim,), int(token))
         data = json.loads(token)
-        amps = np.asarray(data, dtype=float)
-    except (ValueError, TypeError, OverflowError, RecursionError):
-        # not JSON, JSON objects, integers past float range, lists nested past the recursion limit
+    except (ValueError, RecursionError):
+        # not JSON, integers past int()'s digit limit, lists nested past the
+        # recursion limit
         raise ValueError(usage) from None
-    # numpy reads true and false as 1.0 and 0.0
-    if any(isinstance(x, bool) for x in np.asarray(data, dtype=object).flat):
-        raise ValueError(f"{bad}amplitudes must be numbers, not true or false")
-    if not np.isfinite(amps).all():
-        raise ValueError(f"{bad}non-finite amplitude")
-    if amps.ndim == 2 and amps.shape[1] == 2:
-        vec = amps[:, 0] + 1j * amps[:, 1]
-    else:
-        vec = amps.astype(complex)
+    try:
+        vec = vector_from_json(data)
+    except ValueError as exc:
+        raise ValueError(f"{bad}{exc}") from None
     if vec.shape != (dim,):
         raise ValueError(usage)
     with np.errstate(over="ignore"):
@@ -277,8 +272,8 @@ def cmd_noiseless(args) -> int:
         max_block_dev = max(max_block_dev, analysis.kl_residual(sub.reshape(-1, 2, 2, 2))[1])
     jz = 2.0 * channels.collective_spin("Z").matrix
     jx = 2.0 * channels.collective_spin("X").matrix
-    sz = np.kron(np.array([[1, 0], [0, -1]]), np.eye(2))
-    sx = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
+    sz = PauliProduct.from_string("ZI").dense()
+    sx = PauliProduct.from_string("XI").dense()
     jz_dev = float(np.abs(wb.conj().T @ jz @ wb - sz).max())
     jx_dev = float(np.abs(wb.conj().T @ jx @ wb - sx).max())
     payload = {

@@ -22,7 +22,7 @@ from .hilbert import (
     LinearOperator,
     StateVector,
     _check_dims,
-    from_json_array,
+    vector_from_json,
 )
 
 
@@ -372,8 +372,9 @@ def _code_sections(text: str) -> tuple[str, list[str]]:
 
 def parse_code_text(text: str, name: str = "inline") -> CodeDefinition:
     """Parse a code definition: Pauli words one per line, optionally under a
-    'stabilizer:' header, or 'basis:' plus one JSON amplitude array (pairs
-    [re, im]) per line.  The codespace is built on first read of `subspace`."""
+    'stabilizer:' header, or 'basis:' plus one JSON amplitude list (numbers
+    or [re, im] pairs, as vector_from_json reads them) per line.  The
+    codespace is built on first read of `subspace`."""
     kind, body = _code_sections(text)
     if kind == "stabilizer":
         return CodeDefinition(name, stabilizers=StabilizerGeneratorSet.from_strings(body))
@@ -382,10 +383,10 @@ def parse_code_text(text: str, name: str = "inline") -> CodeDefinition:
     vecs = []
     for i, line in enumerate(body, 1):
         try:
-            vec = from_json_array(json.loads(line))
-            if vec.ndim != 1 or len(vec) < 2 or (vecs and len(vec) != len(vecs[0])):
-                raise ValueError("expected one list of at least two [re, im] pairs "
-                                 "per vector, all of the same length")
+            vec = vector_from_json(json.loads(line))
+            if len(vec) < 2 or (vecs and len(vec) != len(vecs[0])):
+                raise ValueError("expected at least two amplitudes per vector, "
+                                 "all vectors of the same length")
             if np.abs(vec).max() > 1.0 + ATOL_ALGEBRA:
                 raise ValueError("an amplitude of a unit vector has modulus at most 1")
         except (ValueError, RecursionError) as exc:

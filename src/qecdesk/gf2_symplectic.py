@@ -16,7 +16,8 @@ so a product is a few popcounts, with no loop over the qubits:
 Two words commute exactly when |x1 & z2| + |z1 & x2| is even.  All group
 arithmetic here is integer-exact, including phases.  A word acts on a vector
 as a signed row gather (`_index_maps`), so neither the analysis nor the
-codespace build needs its dense matrix.
+codespace build needs its dense matrix; the package's dense Pauli matrices
+are those maps scattered into zeros (`_dense_words`).
 
 A set of words is one array form: boolean rows [X | Z], qubit j in columns
 j and n + j (`_word_arrays` yields them in chunks of bounded size).  A
@@ -127,11 +128,8 @@ class PauliProduct:
         """Dense 2^n x 2^n matrix, qubit 0 as the most significant factor,
         admitted by its dimension before anything is built."""
         admit(f"dense Pauli word on {self.n} qubits", dim=(2, self.n))
-        src, coef = _index_maps(self.n, np.array([self.x_bits]), np.array([self.z_bits]),
-                                self.phase_k)
-        m = np.zeros((src.size, src.size), dtype=complex)
-        m[np.arange(src.size), src[0]] = coef[0]
-        return m
+        return _dense_words(self.n, np.array([self.x_bits]), np.array([self.z_bits]),
+                            self.phase_k)[0]
 
 
 def _letters_word(n: int, qubits, letters, phase_k: int = 0) -> PauliProduct:
@@ -176,6 +174,16 @@ def _index_maps(n: int, x: np.ndarray, z: np.ndarray, k) -> tuple[np.ndarray, np
     return src.T, np.take(_PHASES, q.T)
 
 
+def _dense_words(n: int, x: np.ndarray, z: np.ndarray, k) -> np.ndarray:
+    """The dense 2^n x 2^n matrices of every word of _sources as one
+    (len(x), 2^n, 2^n) stack, each word's signed entries scattered in at once."""
+    src, coef = _index_maps(n, x, z, k)
+    m, d = src.shape
+    out = np.zeros((m, d, d), dtype=complex)
+    out[np.arange(m)[:, None], np.arange(d), src] = coef
+    return out
+
+
 def _apply_words(n: int, x: np.ndarray, z: np.ndarray, k, m: np.ndarray) -> np.ndarray:
     """P_i m for every word of _sources, at [:, i] of a (2^n, len(x)) +
     m.shape[1:] array, so the blocks of a matrix m sit side by side in
@@ -195,6 +203,8 @@ def single_qubit_word(n: int, j: int, letter: str) -> PauliProduct:
     """The word with `letter` on qubit j (0-based) and identity elsewhere."""
     if not 0 <= j < n:
         raise ValueError(f"qubit index {j} out of range for n={n}")
+    if letter not in _XZ:
+        raise ValueError(f"unknown Pauli label {letter!r}")
     return _letters_word(n, (j,), letter)
 
 

@@ -8,7 +8,6 @@ objects and the backing arrays are marked read-only.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -168,31 +167,6 @@ class LinearOperator:
         return bool(np.abs(self.matrix.conj().T @ self.matrix - np.eye(d)).max() <= ATOL_ALGEBRA)
 
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def pauli(u: str) -> LinearOperator:
-    """Single-qubit Pauli operator, u in {I, X, Y, Z}, exact entries."""
-    if u not in _PAULI:
-        raise ValueError(f"unknown Pauli label {u!r}")
-    return LinearOperator((2,), (2,), _PAULI[u])
-
-
-def tensor(*factors: LinearOperator) -> LinearOperator:
-    """Kronecker product of operators, first factor most significant,
-    admitted by its dimensions before the first np.kron."""
-    if not factors:
-        raise ValueError("tensor of nothing")
-    din = _check_dims(sum((f.dims_in for f in factors), ()))
-    dout = _check_dims(sum((f.dims_out for f in factors), ()))
-    return LinearOperator(din, dout, functools.reduce(np.kron, (f.matrix for f in factors)))
-
-
 def herm_eig(m: np.ndarray):
     """Eigendecomposition, eigenvalues ascending, of each Hermitian matrix of
     an (..., d, d) stack; one bad matrix refuses them all."""
@@ -215,23 +189,26 @@ def to_json_array(a: np.ndarray) -> list:
     return np.stack((a.real, a.imag), -1).tolist()
 
 
-def from_json_array(data) -> np.ndarray:
-    """Inverse of to_json_array: nested lists of finite [re, im] number pairs.
+def vector_from_json(data) -> np.ndarray:
+    """A complex vector from parsed JSON: a list whose entries are all finite
+    numbers (real amplitudes) or all finite [re, im] number pairs.
 
-    Anything else (ragged lists, strings, objects, booleans, integers past
-    float range, NaN or Infinity) raises ValueError.
+    Anything else (ragged lists, strings, objects, true or false, integers
+    past float range, NaN or Infinity) raises ValueError.
     """
-    bad = "expected nested lists of [re, im] number pairs"
+    bad = "expected a list of numbers or of [re, im] number pairs"
+    if not isinstance(data, list):
+        raise ValueError(bad)
+    # numpy reads true and false among numbers as 1 and 0
+    if any(isinstance(y, bool) for x in data for y in (x if isinstance(x, list) else [x])):
+        raise ValueError(f"{bad}, not true or false")
     try:
         a = np.asarray(data)
     except ValueError:  # ragged nesting
         raise ValueError(bad) from None
-    if a.dtype.kind not in "iuf" or a.ndim == 0 or a.shape[-1] != 2:
+    if a.dtype.kind not in "iuf" or a.ndim > 2 or a.ndim == 2 and a.shape[1] != 2:
         raise ValueError(bad)
-    # numpy reads true among integers as 1
-    if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(data, dtype=object).flat):
-        raise ValueError(f"{bad}, not true or false")
     a = a.astype(float)
     if not np.isfinite(a).all():
         raise ValueError("amplitudes must be finite")
-    return a[..., 0] + 1j * a[..., 1]
+    return a.astype(complex) if a.ndim == 1 else a[:, 0] + 1j * a[:, 1]

@@ -169,6 +169,23 @@ def test_collective_spin_eigenvalues():
     assert np.allclose(sorted(w), [-1.5, -0.5, -0.5, -0.5, 0.5, 0.5, 0.5, 1.5])
 
 
+def test_word_built_paulis_match_the_kronecker_chain():
+    """_SIGMA and every J_u come from Pauli words' dense(); they equal the
+    Kronecker chains of the 2 x 2 Paulis byte for byte, which the three-spin
+    golden relies on."""
+    for u, sigma in zip("IXYZ", oracles.PAULI_1Q):
+        assert channels_module._SIGMA[u].tobytes() == sigma.tobytes(), u
+    for k, u in enumerate("XYZ", 1):
+        for n in range(1, 7):
+            terms = [functools.reduce(np.kron, [oracles.PAULI_1Q[k if j == i else 0]
+                                                for j in range(n)]) for i in range(n)]
+            want = 0.5 * sum(terms)
+            got = collective_spin(u, n).matrix
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (u, n)
+    with pytest.raises(ValueError, match="unknown Pauli label 'Q'"):
+        collective_spin("Q", 2)
+
+
 def test_collective_rotation_is_unitary_and_symmetric():
     rng = np.random.default_rng(12)
     for _ in range(5):

@@ -644,20 +644,26 @@ def test_check_rejects_bad_code_file(capsys, tmp_path):
 
 
 def test_bad_code_file_amplitudes_name_the_vector(capsys, tmp_path):
-    # a bare pair, a JSON object and an amplitude past float range: before,
-    # an IndexError and a TypeError traceback, and NaN reaching the JSON
-    # output; a single amplitude gave "invalid subsystem dimensions ()"
+    # a JSON object and an amplitude past float range: before, a TypeError
+    # traceback and NaN reaching the JSON output; a single amplitude gave
+    # "invalid subsystem dimensions ()"
     path = tmp_path / "bad.txt"
-    for line, why in (("[1, 0]", "list of at least two [re, im] pairs"),
-                      ("[[1, 0]]", "list of at least two [re, im] pairs"),
+    for line, why in (("[[1, 0]]", "at least two amplitudes per vector"),
+                      ("[1, 0, 0]", "all vectors of the same length"),
                       ('{"a": 1}', "[re, im] number pairs"),
                       ("[[1e400,0],[0,0]]", "finite"),
-                      ("[[true,0],[0,0]]", "not true or false")):
+                      ("[[true,0],[0,0]]", "not true or false"),
+                      ("[1, false]", "not true or false")):
         path.write_text(f"basis:\n[[0,0],[1,0]]\n{line}\n")
         assert main(["check", "--code", str(path), "--errors", "I"]) == USAGE_EXIT, line
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "basis vector 2" in captured.err and line in captured.err and why in captured.err
+    # a list of real amplitudes is a vector, as it is for --input: [1, 0] is |0>
+    for line in ("[1, 0]", "[1.0, -0]"):
+        path.write_text(f"basis:\n[[0,0],[1,0]]\n{line}\n")
+        assert main(["check", "--code", str(path), "--errors", "I"]) == 0, line
+        assert json.loads(capsys.readouterr().out)["detectable"] is True
 
 
 def test_cli_builds_no_recovery_channel(capsys, monkeypatch):

@@ -10,7 +10,6 @@ import pytest
 
 import qecdesk
 from qecdesk.channels import collective_spin
-from qecdesk.gf2_symplectic import PauliProduct
 from qecdesk.hilbert import (
     DensityOperator,
     LinearOperator,
@@ -19,12 +18,13 @@ from qecdesk.hilbert import (
     admit,
     basis_state,
     exp_hermitian,
-    from_json_array,
     herm_eig,
-    pauli,
-    tensor,
     to_json_array,
+    vector_from_json,
 )
+
+Y = np.array([[0, -1j], [1j, 0]])
+Z = np.diag([1.0, -1.0])
 
 
 def test_state_vector_basics():
@@ -76,19 +76,13 @@ def test_nan_is_refused(refuse, message):
 
 
 def test_operator_unitary_isometry_flags():
-    assert pauli("Y").is_unitary()
+    assert LinearOperator((2,), (2,), Y).is_unitary()
     v = LinearOperator((1,), (2,), np.array([[1.0], [0.0]]))
     assert v.is_isometry()
     assert not v.is_unitary()
     bad = LinearOperator((2,), (2,), np.array([[1.0, 0.0], [0.0, 0.5]]))
     assert not bad.is_unitary()
     assert not bad.is_isometry()
-
-
-def test_tensor_matches_pauli_word_dense():
-    w = PauliProduct.from_string("ZIXI")
-    built = tensor(pauli("Z"), pauli("I"), pauli("X"), pauli("I"))
-    assert np.array_equal(w.dense(), built.matrix)
 
 
 def test_total_dimension_cap():
@@ -135,28 +129,27 @@ def test_caps_are_compared_only_in_admit():
 
 def test_products_are_admitted_before_the_kronecker_chain():
     """11 qubits are 2048 x 2048 (64 MiB); the refusal comes first."""
-    for build in (lambda: tensor(*[pauli("X")] * 11), lambda: collective_spin("X", 11)):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="dimension 2048 exceeds cap MAX_TOTAL_DIM"):
-                build()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 ** 20
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dimension 2048 exceeds cap MAX_TOTAL_DIM"):
+            collective_spin("X", 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
 
 
 def test_herm_eig_sorted_and_guarded():
-    w, v = herm_eig(pauli("Z").matrix)
+    w, v = herm_eig(Z)
     assert np.allclose(w, [-1, 1])
-    assert np.allclose((v * w) @ v.conj().T, pauli("Z").matrix)
+    assert np.allclose((v * w) @ v.conj().T, Z)
     with pytest.raises(ValueError):
         herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_exp_hermitian_is_rotation():
     theta = 0.7
-    u = exp_hermitian(theta / 2 * pauli("Z").matrix)
+    u = exp_hermitian(theta / 2 * Z)
     want = np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
     assert np.allclose(u, want, atol=1e-12)
     assert LinearOperator((2,), (2,), u).is_unitary()
@@ -180,13 +173,19 @@ def test_json_array_matches_the_elementwise_form():
 
 def test_json_array_round_trip():
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    back = from_json_array(to_json_array(a))
-    assert np.allclose(back, a, atol=1e-15)
+    a = rng.normal(size=3) + 1j * rng.normal(size=3)
+    assert np.array_equal(vector_from_json(to_json_array(a)), a)
     assert to_json_array(np.array(1 + 2j)) == [1.0, 2.0]
-    with pytest.raises(ValueError):
-        from_json_array([[1.0, 2.0, 3.0]])
+    # one grammar: all numbers (real amplitudes) or all [re, im] pairs
+    assert np.array_equal(vector_from_json([0.6, -1]), [0.6, -1])
+    assert np.array_equal(vector_from_json([[0, 1], [2, 0]]), [1j, 2])
+    for data in ([[1.0, 2.0, 3.0]], [[1, 0], 1], [[[1, 0]]], 1.0, {"a": 1}, ["1"],
+                 [10 ** 400, 0], [None]):
+        with pytest.raises(ValueError, match="number pairs$"):
+            vector_from_json(data)
+    with pytest.raises(ValueError, match="finite"):
+        vector_from_json([[float("inf"), 0]])
     # booleans among numbers would read as 1 and 0
-    for data in ([[True, 0], [0, 0]], [[1.0, 0], [0, False]], [[True, False]]):
-        with pytest.raises(ValueError, match="not true or false|number pairs"):
-            from_json_array(data)
+    for data in ([[True, 0], [0, 0]], [[1.0, 0], [0, False]], [True, False], [1, False]):
+        with pytest.raises(ValueError, match="not true or false"):
+            vector_from_json(data)

@@ -5,20 +5,22 @@ The command line turns a ValueError into a usage error (exit 64) naming the
 problem; any other exception would end in a traceback, so it is a bug.
 """
 
+import contextlib
 import functools
+import io
 import json
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import projector_codespace, signed_group
 from qecdesk.analysis import min_distance_quantum
 from qecdesk.channels import parse_channel_spec
-from qecdesk.cli import _load_code, _parse_errors, _parse_input, main
+from qecdesk.cli import DEMO_NAMES, _load_code, _parse_errors, _parse_input, main
 from qecdesk.codes import (
     FIVE_QUBIT_GENERATORS,
     builtin_code,
@@ -227,3 +229,112 @@ def test_stabilizer_file_matches_the_dense_oracles(words):
         assert data["distance"] == min_distance_quantum(space)
     except SearchCapExceeded as exc:
         assert (data["distance"], data["exceeds_cap"]) == (None, exc.cap)
+
+
+# the command-line grammar of the README: a documented command, then up to
+# two changes, each a flag left out or given another value (a valid one, a
+# broken one, or one that no longer fits the rest); --trials at most 2,000
+# and --rotations at most 20 keep a run short
+CLI_COMMANDS = [
+    ["check", "--code=repetition3", "--errors=Z1"],
+    ["check", "--code=fivequbit", "--errors=weight1"],
+    ["check", "--code=fivequbit", "--errors=-iXZZXI"],
+    ["check", "--code=threespin", "--errors=X1,Z2"],
+    ["check", "--code=trivial2", "--errors=weight2"],
+    ["mindist", "--stabilizer=fivequbit", "--alphabet=XYZ", "--cap=5"],
+    ["mindist", "--stabilizer=repetition3", "--alphabet=Z", "--cap=2"],
+    ["simulate", "--code=repetition3", "--channel=independent n=3 bitflip p=0.25", "--input=0"],
+    ["simulate", "--code=repetition3", "--channel=independent n=3 bitflip p=0.25",
+     "--trials=2000", "--seed=7"],
+    ["simulate", "--code=fivequbit", "--channel=independent n=5 depolarizing p=0.1",
+     "--input=+", "--trials=2000"],
+    ["simulate", "--code=cyclic7", "--channel=gaussian7 K=3", "--input=[0.6, 0.8]"],
+    ["simulate", "--code=threespin", "--channel=collective vx=1 vy=0.5 vz=0",
+     "--input=[[1,0],[0,1]]"],
+    ["simulate", "--code=trivial2", "--channel=independent n=2 bitflip p=0.2", "--input=1",
+     "--fail-threshold=0"],
+    ["twirl", "--channel=depolarizing p=0.3"],
+    ["noiseless", "--rotations=20", "--seed=1"],
+    ["concat", "--p=1e-3", "--C=100", "--levels=4", "--block=3"],
+    *[["demo", name, "--fail-threshold=0.5"] for name in DEMO_NAMES],
+]
+cli_number = st.sampled_from(["0", "1", "3", "-1", "nan", "inf", "-inf", "1e3", "x", ""])
+CLI_VALUES = {
+    "--code": st.sampled_from(["repetition3", "fivequbit", "cyclic7", "threespin", "trivial2",
+                               "nosuch"]),
+    "--errors": st.one_of(
+        st.sampled_from(["weight0", "weight1", "weight2", "weight", "weightx", "weight-1"]),
+        st.lists(st.one_of(st.builds("{}{}".format, st.sampled_from("IXYZW"),
+                                     st.integers(-1, 6).map(str)),
+                           st.sampled_from(["I", "XZZXI", "-iXZZXI", "ZZI", "+XX", ""])),
+                 min_size=1, max_size=3).map(",".join)),
+    "--channel": st.builds(
+        "{}{} {}".format,
+        st.sampled_from(["", "independent n=3 ", "independent n=5 ", "independent n=-1 ",
+                         "independent "]),
+        st.sampled_from(["bitflip", "depolarizing", "gaussian7", "collective", "wat"]),
+        # missing, unknown and repeated keys, and nan
+        st.lists(st.builds("{}={}".format, st.sampled_from(["p", "K", "vx", "vy", "vz", "q"]),
+                           st.sampled_from(["0.1", "1", "2", "-1", "nan", "inf", "abc"])),
+                 max_size=4).map(" ".join)),
+    "--input": st.one_of(
+        st.sampled_from(["0", "1", "2", "7", "+", "-", "-1", "foo", "[]", "[true, false]",
+                         "[[true, 0], [0, 0]]", "[NaN, 1]", "[1, 0, 0]", "{}", "[1e400, 0]"]),
+        st.lists(st.floats(-2, 2) | st.integers(-2, 2), min_size=1, max_size=3).map(json.dumps),
+        st.lists(st.lists(st.floats(-2, 2), min_size=2, max_size=2), min_size=1,
+                 max_size=3).map(json.dumps)),
+    "--alphabet": st.sampled_from(["XYZ", "Z", "XZ", "Q", ""]),
+    "--seed": st.sampled_from(["0", "7", str(2 ** 128), "-1", "nan", "inf", "x"]),
+    "--trials": st.sampled_from(["0", "1", "2000", "-1", "nan", "inf", "x"]),
+    "--rotations": st.sampled_from(["0", "1", "20", "-1", "nan", "inf", "x"]),
+    "--levels": st.sampled_from(["0", "1", "30", "-1", "nan", "inf", "x"]),
+    "--cap": cli_number, "--block": cli_number, "--p": cli_number, "--C": cli_number,
+    "--fail-threshold": cli_number,
+}
+
+
+@st.composite
+def cli_argv(draw):
+    argv = list(draw(st.sampled_from(CLI_COMMANDS)))
+    for _ in range(draw(st.integers(0, 2))):
+        if len(argv) == 1:
+            break
+        i = draw(st.integers(1, len(argv) - 1))
+        flag = argv[i].split("=")[0]
+        if flag in CLI_VALUES and draw(st.booleans()):
+            argv[i] = f"{flag}={draw(CLI_VALUES[flag])}"
+        elif flag.startswith("--") or draw(st.booleans()):
+            del argv[i]
+        else:  # a demo's name
+            argv[i] = draw(st.sampled_from(["nosuch", "--table=x"]))
+    return argv
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(deadline=None, max_examples=200)
+@given(cli_argv())
+@example(["simulate", "--code=repetition3", "--channel=independent n=3 bitflip p=0.1",
+          "--input=[0.6, 0.8]"])
+@example(["check", "--code=fivequbit", "--errors=-iXZZXI"])
+@example(["demo", "three-spin"])
+@example([])
+@example(["nosuch"])
+def test_cli_exits_with_a_documented_code(argv):
+    # 0, 1 and 2 print strict JSON (no NaN or Infinity); 64 prints nothing on
+    # stdout and ends stderr with a line naming the program
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 64), (argv, err.getvalue())
+    event(f"{argv[0] if argv else None} exit {code}")
+    if code == 64:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().splitlines()[-1].startswith("qecdesk"), (argv, err.getvalue())
+    else:
+        json.loads(out.getvalue(), parse_constant=refuse_constant)
